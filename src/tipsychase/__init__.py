@@ -18,6 +18,7 @@ from .chain import (
     expected_rounds,
     extract_transient,
     survival_probability,
+    survival_vector,
     transition_probability,
     validate,
 )
@@ -71,7 +72,9 @@ from .schedules import (
     distance_tree_chain,
     parse_schedule,
     time_varying_expectation,
+    time_varying_expectation_all,
     time_varying_survival,
+    time_varying_survival_all,
 )
 
 __version__ = "0.1.0"

@@ -4,17 +4,24 @@ Everything downstream reduces to four matrix computations on a chain
 with transition matrix P and transient submatrix T:
 
 * ``transition_probability``  --  e_i . P^M . e_j
-* ``survival_probability``    --  e_d . T^M . 1
+* ``survival_vector``         --  T^M . 1, one entry per start
 * ``expected_rounds``         --  e_d . (I - T)^-1 . 1
 * ``absorption_split``        --  row d of (I - T)^-1 . R
 
-Matrices here are tiny (a few dozen states at most), so everything is
-dense float64 and the (I - T) systems are solved by LU with partial
-pivoting rather than forming an inverse.
+The last three are rows of whole-chain quantities, so each is computed
+for every start at once: a TransientSystem solves (I - T) X = [1 | R]
+once and keeps the answer, and survival is a vector for all starts.
+
+Everything is dense float64.  The family chains behind the bundled
+tables have at most 13 states, but exact joint chains reach thousands
+(6,561 on the 9x9 torus, a 344 MB P), so survival is taken by
+repeated mat-vecs rather than a matrix power, and the (I - T) systems
+are solved by LU with partial pivoting rather than forming an inverse.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -76,7 +83,8 @@ class TransientSystem:
 
     ``labels`` keeps the transient states in their original chain order;
     ``absorbing_labels`` does the same for the retained absorbing states,
-    so columns of R line up with them.
+    so columns of R line up with them.  ``solution`` holds the solve of
+    (I - T) X = [1 | R], made on first use and kept.
     """
 
     labels: tuple[str, ...]
@@ -104,6 +112,15 @@ class TransientSystem:
         if not 0 <= i < self.n_transient:
             raise InvalidState(f"transient index {i} out of range 0..{self.n_transient - 1}")
         return i
+
+    @functools.cached_property
+    def solution(self):
+        """(expected, absorb) for every start, or None when I - T is singular.
+
+        See ``_fundamental_solve``; the arrays are read-only, since every
+        caller shares them.
+        """
+        return _fundamental_solve(self)
 
 
 @dataclass(frozen=True)
@@ -175,14 +192,24 @@ def extract_transient(chain: MarkovChain) -> TransientSystem:
     )
 
 
+def survival_vector(ts: TransientSystem, rounds: int) -> np.ndarray:
+    """T^M . 1: the probability of still being transient after ``rounds`` steps, per start.
+
+    Computed by repeated mat-vecs, rounds * n^2 work, rather than by a
+    matrix power.
+    """
+    if rounds < 0:
+        raise InvalidParameter(f"rounds must be >= 0, got {rounds}")
+    vec = np.ones(ts.n_transient)
+    for _ in range(rounds):
+        vec = ts.T @ vec
+    return vec
+
+
 def survival_probability(ts: TransientSystem, d, rounds: int) -> float:
     """Probability the process is still transient after ``rounds`` steps from d."""
     i = ts.index(d)
-    if rounds < 0:
-        raise InvalidParameter(f"rounds must be >= 0, got {rounds}")
-    if rounds == 0:
-        return 1.0
-    return float(np.linalg.matrix_power(ts.T, rounds)[i].sum())
+    return float(survival_vector(ts, rounds)[i])
 
 
 def _fundamental_solve(ts: TransientSystem):
@@ -204,6 +231,7 @@ def _fundamental_solve(ts: TransientSystem):
         return None
     rhs = np.column_stack([np.ones(ts.n_transient), ts.R])
     sol = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    sol.flags.writeable = False
     return sol[:, 0], sol[:, 1:]
 
 
@@ -215,7 +243,7 @@ def expected_rounds(ts: TransientSystem, d) -> ExpectationResult:
     answer would be meaningless in either case.
     """
     i = ts.index(d)
-    solved = _fundamental_solve(ts)
+    solved = ts.solution
     if solved is None:
         return ExpectationResult(INFINITE, "I - T is numerically singular")
     expected, absorb = solved
@@ -236,7 +264,7 @@ def absorption_split(ts: TransientSystem, d) -> dict[str, float]:
     i = ts.index(d)
     if ts.R.shape[1] == 0:
         raise InvalidParameter("chain retains no absorbing states")
-    solved = _fundamental_solve(ts)
+    solved = ts.solution
     if solved is None:
         raise Divergent(None, 0.0)
     _, absorb = solved

@@ -95,7 +95,10 @@ def _rounds_list(args) -> list[int]:
     for chunk in args.rounds or []:
         for tok in str(chunk).split(","):
             if tok:
-                values.append(int(tok))
+                try:
+                    values.append(int(tok))
+                except ValueError:
+                    raise ConfigError(f"--rounds takes integers, got {tok!r}") from None
     return values
 
 
@@ -127,11 +130,12 @@ def _static_family_chain(args):
 
 
 def _measure_rows(ts, rounds_list, want_absorption):
+    survival = [chain_mod.survival_vector(ts, m) for m in rounds_list]
     rows = []
-    for label in ts.labels:
+    for i, label in enumerate(ts.labels):
         row = {"start": label}
-        for m in rounds_list:
-            row[f"G{m}"] = chain_mod.survival_probability(ts, label, m)
+        for m, vec in zip(rounds_list, survival):
+            row[f"G{m}"] = float(vec[i])
         row["E"] = chain_mod.expected_rounds(ts, label).value
         if want_absorption:
             try:
@@ -218,15 +222,17 @@ def _time_varying_rows(args, split, sched, rounds_list):
         builder = lambda s: families.tree_chain(delta, nmax, s)
     else:
         raise ConfigError("time schedules apply to --family cycle, petersen, torus7, or tree")
-    probe = chain_mod.extract_transient(builder(split.spinner(sched.at(1))))
+    survival = [
+        schedules.time_varying_survival_all(builder, split, sched, m) for m in rounds_list
+    ]
+    expectation = schedules.time_varying_expectation_all(
+        builder, split, sched, tol=1e-9, n_max=args.terms
+    )
     rows = []
-    for label in probe.labels:
+    for label, result in expectation.items():
         row = {"start": label}
-        for m in rounds_list:
-            row[f"G{m}"] = schedules.time_varying_survival(builder, split, sched, label, m)
-        result = schedules.time_varying_expectation(
-            builder, split, sched, label, tol=1e-9, n_max=args.terms
-        )
+        for m, g in zip(rounds_list, survival):
+            row[f"G{m}"] = g[label]
         row["E"] = result.value
         row["terms"] = result.terms_used
         rows.append(row)

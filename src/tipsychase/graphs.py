@@ -223,5 +223,11 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def load_edge_list(path) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_edge_list(fh.read())
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InvalidEdge(f"cannot read edge-list file {str(path)!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise InvalidEdge(f"edge-list file {str(path)!r} is not ASCII") from None
+    return parse_edge_list(text)

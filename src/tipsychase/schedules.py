@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import chain as chain_mod
-from .chain import INFINITE, MarkovChain, TransientSystem
+from .chain import INFINITE, MarkovChain
 from .errors import InvalidParameter, ScheduleOutOfRange
 from .families import SpinnerThree
 
@@ -126,7 +126,12 @@ class DistanceSchedule:
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Partial-sum evaluation of the expectation series."""
+    """Partial-sum evaluation of the expectation series.
+
+    ``truncation_bound`` is an estimate of the tail left out, not a
+    bound: it is exact only if every later round plays at the limiting
+    tipsiness (see ``time_varying_expectation``).
+    """
 
     value: float
     terms_used: int
@@ -138,33 +143,6 @@ class SeriesResult:
         return math.isinf(self.value)
 
 
-def _transient_of(builder: ChainBuilder, spinner: SpinnerThree) -> TransientSystem:
-    return chain_mod.extract_transient(builder(spinner))
-
-
-def time_varying_survival(
-    builder: ChainBuilder, split: SoberSplit, sched: TimeSchedule, d, rounds: int
-) -> float:
-    """G_M(d) for the round-indexed chain family T_1 ... T_M."""
-    if rounds < 0:
-        raise InvalidParameter(f"rounds must be >= 0, got {rounds}")
-    sched.warn_if_nonstandard()
-    first = _transient_of(builder, split.spinner(sched.at(1)))
-    idx = first.index(d)
-    vec = np.ones(first.n_transient)
-    prev_t = None
-    for m in range(rounds, 0, -1):
-        t_m = sched.at(m)
-        if prev_t is not None and t_m < prev_t - 1e-12:
-            warnings.warn(f"time schedule {sched.name!r} increases at m={m + 1}")
-        prev_t = t_m
-        ts = first if m == 1 else _transient_of(builder, split.spinner(t_m))
-        if ts.n_transient != first.n_transient:
-            raise InvalidParameter("builder changed transient dimension across rounds")
-        vec = ts.T @ vec
-    return float(vec[idx])
-
-
 def _limit_profile(builder: ChainBuilder, split: SoberSplit, sched: TimeSchedule):
     """Expected-remaining-rounds vector of the limiting chain, or None.
 
@@ -172,8 +150,8 @@ def _limit_profile(builder: ChainBuilder, split: SoberSplit, sched: TimeSchedule
     the series cannot converge (the classic case: the whole sober mass
     on the robber, who then flees forever once sobered up).
     """
-    ts = _transient_of(builder, split.spinner(sched.limit))
-    solved = chain_mod._fundamental_solve(ts)
+    ts = chain_mod.extract_transient(builder(split.spinner(sched.limit)))
+    solved = ts.solution
     if solved is None:
         return None
     expected, absorb = solved
@@ -181,6 +159,120 @@ def _limit_profile(builder: ChainBuilder, split: SoberSplit, sched: TimeSchedule
     if (totals < 1.0 - chain_mod.ABSORPTION_TOL).any():
         return None
     return expected
+
+
+def _series(builder, split, sched, start, rounds=0, tol=None, n_max=0):
+    """One forward pass over T_1, T_2, ..., carrying a matrix of start rows.
+
+    Row d of U_n = T_1 ... T_{n-1} (only row ``start``, or every row when
+    ``start`` is None) gives G_{n-1}(d) as its sum, which is both the
+    survival at horizon n - 1 and term n of the expectation series.  Each
+    T_m is built once, sliced from the built P with the transient index
+    of round 1.  With ``tol`` None the pass stops at horizon ``rounds``;
+    otherwise it sums the expectation series, and each row stops by the
+    rule of ``time_varying_expectation`` on its own.
+
+    Returns (labels, G_rounds per row) when ``tol`` is None, and
+    otherwise (labels, a SeriesResult per row).
+    """
+    profile = _limit_profile(builder, split, sched) if tol is not None else None
+    first_chain = builder(split.spinner(sched.at(1)))
+    first = chain_mod.extract_transient(first_chain)
+    keep = [i for i in range(first_chain.n_states) if i not in first_chain.absorbing]
+    ix = np.ix_(keep, keep)
+    if start is None:
+        labels, U = first.labels, np.eye(first.n_transient)
+    else:
+        i = first.index(start)
+        labels, U = (first.labels[i],), np.eye(first.n_transient)[[i]]
+
+    k = len(labels)
+    active = profile is not None
+    pending = np.full(k, active)
+    total = np.zeros(k)
+    stop_n, stop_total, stop_tail = np.zeros(k, dtype=int), np.zeros(k), np.zeros(k)
+    last = rounds if tol is None else 0
+    prev_t = sched.at(1)
+    n = 0
+    while n < last or active:
+        n += 1
+        term = U.sum(axis=1)
+        if n == 1:
+            T = first.T
+        else:
+            t_n = sched.at(n)
+            if n <= last and t_n > prev_t + 1e-12:
+                warnings.warn(f"time schedule {sched.name!r} increases at m={n}")
+            prev_t = t_n
+            built = builder(split.spinner(t_n))
+            if built.n_states != first_chain.n_states or built.absorbing != first_chain.absorbing:
+                raise InvalidParameter("builder changed the absorbing set across rounds")
+            T = built.P[ix]
+        U = U @ T
+        if active:
+            total += term
+            tail = U @ profile
+            stop = pending & (np.maximum(term, tail) < tol) if n < n_max else pending
+            if stop.any():
+                stop_n[stop], stop_total[stop], stop_tail[stop] = n, total[stop], tail[stop]
+                pending = pending & ~stop
+                active = pending.any()
+
+    if tol is None:
+        return labels, U.sum(axis=1)
+    if profile is None:
+        return labels, [SeriesResult(INFINITE, 0, INFINITE, False)] * k
+    results = [
+        SeriesResult(float(v), int(m), float(tail), bool(tail < tol))
+        for v, m, tail in zip(stop_total, stop_n, stop_tail)
+    ]
+    return labels, results
+
+
+def _check_rounds(rounds):
+    if rounds < 0:
+        raise InvalidParameter(f"rounds must be >= 0, got {rounds}")
+
+
+def _check_series(tol, n_max):
+    if tol <= 0:
+        raise InvalidParameter(f"tol must be > 0, got {tol}")
+    if n_max < 1:
+        raise InvalidParameter(f"n_max must be >= 1, got {n_max}")
+
+
+def time_varying_survival_all(
+    builder: ChainBuilder, split: SoberSplit, sched: TimeSchedule, rounds: int
+) -> dict[str, float]:
+    """G_M(d) for every start d of the round-indexed chain family T_1 ... T_M."""
+    _check_rounds(rounds)
+    sched.warn_if_nonstandard()
+    labels, survival = _series(builder, split, sched, None, rounds)
+    return dict(zip(labels, survival.tolist()))
+
+
+def time_varying_survival(
+    builder: ChainBuilder, split: SoberSplit, sched: TimeSchedule, d, rounds: int
+) -> float:
+    """G_M(d) for the round-indexed chain family T_1 ... T_M."""
+    _check_rounds(rounds)
+    sched.warn_if_nonstandard()
+    _, survival = _series(builder, split, sched, d, rounds)
+    return float(survival[0])
+
+
+def time_varying_expectation_all(
+    builder: ChainBuilder,
+    split: SoberSplit,
+    sched: TimeSchedule,
+    tol: float = 1e-9,
+    n_max: int = 10000,
+) -> dict[str, SeriesResult]:
+    """``time_varying_expectation`` for every start, in one pass."""
+    _check_series(tol, n_max)
+    sched.warn_if_nonstandard()
+    labels, results = _series(builder, split, sched, None, tol=tol, n_max=n_max)
+    return dict(zip(labels, results))
 
 
 def time_varying_expectation(
@@ -202,34 +294,10 @@ def time_varying_expectation(
     limiting chain is not absorbing the series diverges and the result
     is INFINITE outright.
     """
-    if tol <= 0:
-        raise InvalidParameter(f"tol must be > 0, got {tol}")
-    if n_max < 1:
-        raise InvalidParameter(f"n_max must be >= 1, got {n_max}")
+    _check_series(tol, n_max)
     sched.warn_if_nonstandard()
-
-    tail_profile = _limit_profile(builder, split, sched)
-    if tail_profile is None:
-        return SeriesResult(INFINITE, 0, INFINITE, False)
-
-    first = _transient_of(builder, split.spinner(sched.at(1)))
-    idx = first.index(d)
-    row = np.zeros(first.n_transient)
-    row[idx] = 1.0
-
-    total = 0.0
-    term = 1.0
-    tail = INFINITE
-    n = 0
-    for n in range(1, n_max + 1):
-        term = float(row.sum())
-        total += term
-        ts = first if n == 1 else _transient_of(builder, split.spinner(sched.at(n)))
-        row = row @ ts.T
-        tail = float(row @ tail_profile)
-        if term < tol and tail < tol:
-            return SeriesResult(total, n, tail, True)
-    return SeriesResult(total, n, tail, tail < tol)
+    _, results = _series(builder, split, sched, d, tol=tol, n_max=n_max)
+    return results[0]
 
 
 def distance_cycle_chain(
@@ -294,8 +362,7 @@ def distance_tree_chain(
     return built
 
 
-_TIME_TOKENS = ("hyper", "exp2")
-_DISTANCE_TOKENS = ("linear", "exp12")
+_ARG_COUNTS = {"hyper": 2, "exp2": 2, "linear": 0, "exp12": 1}
 
 
 def parse_schedule(token: str, max_distance: int | None = None):
@@ -307,7 +374,13 @@ def parse_schedule(token: str, max_distance: int | None = None):
     1.2 ramp).  Returns a TimeSchedule or DistanceSchedule.
     """
     name, _, argtext = token.partition(":")
-    args = [float(x) for x in argtext.split(",")] if argtext else []
+    try:
+        args = [float(x) for x in argtext.split(",")] if argtext else []
+    except ValueError:
+        raise InvalidParameter(f"schedule {token!r}: arguments must be numbers") from None
+    most = _ARG_COUNTS.get(name)
+    if most is not None and len(args) > most:
+        raise InvalidParameter(f"schedule {name!r} takes at most {most} arguments, got {len(args)}")
     if name == "hyper":
         return TimeSchedule.hyperbolic(*args) if args else TimeSchedule.hyperbolic()
     if name == "exp2":

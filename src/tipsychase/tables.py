@@ -129,10 +129,13 @@ def _load_cells(table_id: str) -> list[Cell]:
 
 def _static_measures(chain, cells):
     ts = chain_mod.extract_transient(chain)
+    survival = {}  # rounds -> G over every start
     out = {}
     for cell in cells:
         if cell.measure == "G":
-            out[cell.key] = chain_mod.survival_probability(ts, cell.start, cell.rounds)
+            if cell.rounds not in survival:
+                survival[cell.rounds] = chain_mod.survival_vector(ts, cell.rounds)
+            out[cell.key] = float(survival[cell.rounds][ts.index(cell.start)])
         elif cell.measure == "E":
             out[cell.key] = chain_mod.expected_rounds(ts, cell.start).value
         else:
@@ -195,18 +198,23 @@ def _compute_torus81(cells):
 def _compute_time(cells, schedule):
     builder = lambda s: families.cycle_chain(6, s)
     out = {}
-    for cell in cells:
-        split = schedules.SoberSplit(cell.param("share"))
-        if cell.measure == "G":
-            out[cell.key] = schedules.time_varying_survival(
-                builder, split, schedule, cell.start, cell.rounds
-            )
-        else:
-            result = schedules.time_varying_expectation(
-                builder, split, schedule, cell.start,
-                tol=1e-10, n_max=cell.n_terms or 3000,
-            )
-            out[cell.key] = result.value
+    for group in _by_params(cells).values():
+        split = schedules.SoberSplit(group[0].param("share"))
+        survival, expectation = {}, {}  # rounds / term count -> label -> result
+        for cell in group:
+            if cell.measure == "G":
+                if cell.rounds not in survival:
+                    survival[cell.rounds] = schedules.time_varying_survival_all(
+                        builder, split, schedule, cell.rounds
+                    )
+                out[cell.key] = survival[cell.rounds][cell.start]
+            else:
+                n_max = cell.n_terms or 3000
+                if n_max not in expectation:
+                    expectation[n_max] = schedules.time_varying_expectation_all(
+                        builder, split, schedule, tol=1e-10, n_max=n_max
+                    )
+                out[cell.key] = expectation[n_max][cell.start].value
     return out
 
 

@@ -32,3 +32,15 @@ def random_connected_graph(rng, n: int) -> graphs.Graph:
             return graphs.build_graph(n, edges)
         except Exception:
             continue
+
+
+# Chain builders over a 3-way spinner, one per family; friendship splits
+# the tipsy mass evenly between the players.
+FAMILY_BUILDERS = {
+    "cycle6": lambda s: families.cycle_chain(6, s),
+    "cycle7": lambda s: families.cycle_chain(7, s),
+    "petersen": families.petersen_chain,
+    "friendship": lambda s: families.friendship_chain(5, s.as_four()),
+    "torus7": families.toroidal7_chain,
+    "tree": lambda s: families.tree_chain(4, 10, s),
+}

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import FAMILY_BUILDERS
 from tipsychase import chain, families
 from tipsychase.errors import (
     Divergent,
@@ -288,3 +289,73 @@ class TestConsistencyProperties:
                 assert chain.expected_rounds(ts, d).value < math.inf
                 total = sum(chain.absorption_split(ts, d).values())
                 assert total == pytest.approx(1.0, abs=1e-9)
+
+
+VECTOR_TOL = 1e-12  # the vector forms reorder float sums; results agree to rounding
+
+
+def per_label_survival(ts, d, rounds):
+    """The per-label form survival_vector replaced: row d of T^M, summed."""
+    if rounds == 0:
+        return 1.0
+    return float(np.linalg.matrix_power(ts.T, rounds)[ts.index(d)].sum())
+
+
+class TestSurvivalVector:
+    @pytest.mark.parametrize("family", sorted(FAMILY_BUILDERS))
+    def test_matches_per_label_matrix_power(self, family):
+        ts = chain.extract_transient(
+            FAMILY_BUILDERS[family](families.SpinnerThree(c=0.3, r=0.4, t=0.3))
+        )
+        for m in (0, 1, 7, 50, 200):
+            vec = chain.survival_vector(ts, m)
+            assert vec.shape == (ts.n_transient,)
+            for i, d in enumerate(ts.labels):
+                want = per_label_survival(ts, d, m)
+                assert abs(vec[i] - want) <= VECTOR_TOL
+                assert chain.survival_probability(ts, d, m) == vec[i]
+
+    def test_negative_rounds_rejected(self):
+        ts = chain.extract_transient(ruin_chain(0.4))
+        with pytest.raises(InvalidParameter):
+            chain.survival_vector(ts, -1)
+
+
+class TestSolveCache:
+    def test_one_solve_serves_every_start(self, monkeypatch):
+        calls = []
+        solve = chain._fundamental_solve
+        monkeypatch.setattr(chain, "_fundamental_solve", lambda ts: calls.append(1) or solve(ts))
+        ts = chain.extract_transient(
+            families.tree_chain(4, 10, families.SpinnerThree(c=0.3, r=0.4, t=0.3))
+        )
+        for d in ts.labels:
+            chain.expected_rounds(ts, d)
+            chain.absorption_split(ts, d)
+        assert len(calls) == 1
+
+    def test_divergent_chain_reads_infinite_everywhere(self):
+        ts = chain.extract_transient(
+            families.cycle_chain(6, families.SpinnerThree(c=0.0, r=1.0, t=0.0))
+        )
+        for _ in range(2):
+            assert all(chain.expected_rounds(ts, d).is_infinite for d in ts.labels)
+
+    def test_divergent_split_keeps_raising(self):
+        ts = chain.extract_transient(
+            families.cycle_chain(6, families.SpinnerThree(c=0.0, r=1.0, t=0.0))
+        )
+        for _ in range(3):
+            for d in ts.labels:
+                with pytest.raises(Divergent):
+                    chain.absorption_split(ts, d)
+
+    def test_cached_arrays_are_read_only(self):
+        ts = chain.extract_transient(ruin_chain(0.4))
+        expected, absorb = ts.solution
+        with pytest.raises(ValueError):
+            expected[0] = 0.0
+        with pytest.raises(ValueError):
+            absorb[0, 0] = 0.0
+        assert chain.expected_rounds(ts, "1").value == pytest.approx(expected[0])
+        assert ts.solution is ts.solution

@@ -127,6 +127,22 @@ class TestAnalyze:
         assert code == 2
         assert "spinner" in err
 
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--schedule", "hyper:abc", "--robber-share", "0.5"], "must be numbers"),
+            (["--schedule", "hyper:1,2,3", "--robber-share", "0.5"], "at most 2 arguments"),
+            (["--c", "0.3", "--r", "0.3", "--t", "0.4", "--rounds", "x"], "--rounds"),
+            (["--graph-file", "/nonexistent", "--cop", "0", "--robber", "1",
+              "--c", "0.3", "--r", "0.3", "--t", "0.4"], "cannot read"),
+        ],
+    )
+    def test_malformed_input_is_config_error(self, capsys, extra, message):
+        code, _, err = run_cli(["analyze", "--family", "cycle", "--n", "6"] + extra, capsys)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
 
 class TestFormats:
     ARGS = ["analyze", "--family", "cycle", "--n", "6", "--c", "0.2", "--r", "0.3",

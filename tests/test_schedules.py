@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_spinner3
+from conftest import FAMILY_BUILDERS, random_spinner3
 from tipsychase import chain, families, schedules
 from tipsychase.errors import InvalidParameter, ScheduleOutOfRange
 
@@ -264,3 +264,120 @@ class TestDistanceTreeChain:
             for k in range(11):
                 c = schedules.distance_tree_chain(4, 10, schedules.SoberSplit(k / 10), sched)
                 chain.validate(c)
+
+
+SERIES_TOL = 1e-12  # relative to max(1, |value|): the vector forms reorder float sums
+
+
+def per_round_transient(builder, split, sched, m):
+    return chain.extract_transient(builder(split.spinner(sched.at(m))))
+
+
+def per_label_survival(builder, split, sched, d, rounds):
+    """The per-label loop the vector forms replaced: T_m extracted afresh each round."""
+    first = per_round_transient(builder, split, sched, 1)
+    vec = np.ones(first.n_transient)
+    for m in range(rounds, 0, -1):
+        vec = per_round_transient(builder, split, sched, m).T @ vec
+    return float(vec[first.index(d)])
+
+
+def per_label_expectation(builder, split, sched, d, tol, n_max):
+    """The per-label series the vector forms replaced, with the same stop rule."""
+    solved = chain.extract_transient(builder(split.spinner(sched.limit))).solution
+    if solved is None or (solved[1].sum(axis=1) < 1 - chain.ABSORPTION_TOL).any():
+        return schedules.SeriesResult(math.inf, 0, math.inf, False)
+    profile = solved[0]
+    first = per_round_transient(builder, split, sched, 1)
+    row = np.zeros(first.n_transient)
+    row[first.index(d)] = 1.0
+    total = 0.0
+    for n in range(1, n_max + 1):
+        term = float(row.sum())
+        total += term
+        row = row @ per_round_transient(builder, split, sched, n).T
+        tail = float(row @ profile)
+        if term < tol and tail < tol:
+            return schedules.SeriesResult(total, n, tail, True)
+    return schedules.SeriesResult(total, n_max, tail, tail < tol)
+
+
+def assert_close(got, want):
+    if math.isinf(want):
+        assert got == want
+    else:
+        assert abs(got - want) <= SERIES_TOL * max(1.0, abs(want))
+
+
+SERIES_CASES = [
+    (family, sched, share)
+    for family in sorted(FAMILY_BUILDERS)
+    for sched in (schedules.TimeSchedule.hyperbolic(), schedules.TimeSchedule.exponential2())
+    for share in (0.0, 0.6, 1.0)
+]
+
+
+class TestWholeVectorSeries:
+    @pytest.mark.parametrize("family,sched,share", SERIES_CASES)
+    def test_survival_matches_per_label_loop(self, family, sched, share):
+        builder, split = FAMILY_BUILDERS[family], schedules.SoberSplit(share)
+        for rounds in (0, 1, 5, 30):
+            got = schedules.time_varying_survival_all(builder, split, sched, rounds)
+            for d, g in got.items():
+                assert_close(g, per_label_survival(builder, split, sched, d, rounds))
+                assert_close(schedules.time_varying_survival(builder, split, sched, d, rounds), g)
+
+    @pytest.mark.parametrize("family,sched,share", SERIES_CASES)
+    def test_expectation_matches_per_label_loop(self, family, sched, share):
+        builder, split = FAMILY_BUILDERS[family], schedules.SoberSplit(share)
+        for n_max in (30, 400):  # 30 stops some rows at the cap, unconverged
+            got = schedules.time_varying_expectation_all(builder, split, sched, 1e-10, n_max)
+            for d, res in got.items():
+                want = per_label_expectation(builder, split, sched, d, 1e-10, n_max)
+                assert_close(res.value, want.value)
+                assert_close(res.truncation_bound, want.truncation_bound)
+                assert (res.terms_used, res.converged) == (want.terms_used, want.converged)
+                single = schedules.time_varying_expectation(builder, split, sched, d, 1e-10, n_max)
+                assert (single.terms_used, single.converged) == (res.terms_used, res.converged)
+                assert_close(single.value, res.value)
+
+    def test_each_round_built_once(self):
+        built = []
+
+        def counting(s):
+            built.append(s.t)
+            return cycle6(s)
+
+        split, sched = schedules.SoberSplit(0.5), schedules.TimeSchedule.hyperbolic()
+        schedules.time_varying_survival_all(counting, split, sched, 12)
+        assert built == [sched.at(m) for m in range(1, 13)]
+
+        built.clear()
+        expectation = schedules.time_varying_expectation_all(counting, split, sched, 1e-10, 1000)
+        rounds = max(res.terms_used for res in expectation.values())
+        # the limiting chain, then T_1 ... T_rounds
+        assert built == [sched.limit] + [sched.at(m) for m in range(1, rounds + 1)]
+
+    @pytest.mark.parametrize("call", [
+        lambda b, sp, sc: schedules.time_varying_survival(b, sp, sc, "1", 3),
+        lambda b, sp, sc: schedules.time_varying_survival_all(b, sp, sc, 3),
+        lambda b, sp, sc: schedules.time_varying_expectation(b, sp, sc, "1", 1e-6, 50),
+        lambda b, sp, sc: schedules.time_varying_expectation_all(b, sp, sc, 1e-6, 50),
+    ])
+    def test_nonstandard_warning_names_the_caller(self, call):
+        sched = schedules.TimeSchedule(lambda m: 0.8 / m, "f(1)=0.8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(cycle6, schedules.SoberSplit(0.5), sched)
+        nonstandard = [w for w in caught if "not 1" in str(w.message)]
+        assert len(nonstandard) == 1
+        assert nonstandard[0].filename == __file__
+
+    def test_builder_changing_absorbing_set_rejected(self):
+        def shifty(s):
+            return cycle6(s) if s.t > 0.5 else families.tree_chain(2, 3, s)
+
+        with pytest.raises(InvalidParameter):
+            schedules.time_varying_survival_all(
+                shifty, schedules.SoberSplit(0.5), schedules.TimeSchedule.hyperbolic(), 10
+            )
