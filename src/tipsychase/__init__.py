@@ -58,6 +58,7 @@ from .joint import (
     distance_lumping,
     friendship_lumping,
     lump,
+    sparse_joint_chain,
     standard_rules,
     torus_lumping,
     torus_rules,

@@ -12,25 +12,34 @@ The last three are rows of whole-chain quantities, so each is computed
 for every start at once: a TransientSystem solves (I - T) X = [1 | R]
 once and keeps the answer, and survival is a vector for all starts.
 
-Everything is dense float64.  The family chains behind the bundled
-tables have at most 13 states, but exact joint chains reach thousands
-(6,561 on the 9x9 torus, a 344 MB P), so survival is taken by
-repeated mat-vecs rather than a matrix power, and the (I - T) systems
-are solved by LU with partial pivoting rather than forming an inverse.
+P and T are float64, dense or sparse, as their producer built them.
+The family chains behind the bundled tables are dense with at most 13
+states.  Exact joint chains are sparse CSR arrays with thousands of
+states (6,561 on the 9x9 torus, of which 0.1% of P is non-zero; dense,
+P would take 344 MB).  Survival is taken by repeated mat-vecs on
+either.  A dense (I - T) is solved by LU with partial pivoting; a
+sparse one first has divergence decided from its structure, then is
+solved by BiCGSTAB under an explicit residual check, falling back to
+dense LU when that check fails (see ``_sparse_solve``).  That fallback
+and the dense joint-chain builder refuse, before allocating, any dense
+matrix above DENSE_BYTE_CAP.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
 
 from .errors import (
     Divergent,
+    GraphTooLarge,
     InconsistentAbsorbing,
     InvalidParameter,
     InvalidState,
@@ -38,25 +47,78 @@ from .errors import (
     NotStochastic,
 )
 
+if TYPE_CHECKING:
+    import scipy.sparse
+
 ROW_SUM_TOL = 1e-9
 ABSORPTION_TOL = 1e-9
 PIVOT_TOL = 1e-12
+# A sparse solve is accepted when max|(I - T) x - b| <= RESIDUAL_TOL * max|b|.
+# With b = 1 this bounds the relative error of every expected time:
+# (I - T)^-1 >= 0 entrywise, so |x - x*| <= (I - T)^-1 |r| <= max|r| * x*.
+RESIDUAL_TOL = 1e-10
+KRYLOV_TOL = 1e-12  # BiCGSTAB's target for ||r||_2 / max|b|, under RESIDUAL_TOL
+KRYLOV_MAXITER = 1000
+# Largest dense matrix any chain operation allocates: 512 MiB holds the
+# 9x9 torus's 6,561-state P (344 MB), not a 40,000-state one (12.8 GB).
+# The cap is per matrix; the dense joint builder and the dense fallback
+# solve each hold one matrix of that size at a time.
+DENSE_BYTE_CAP = 512 * 2**20
 
 INFINITE = math.inf
 
 
+def _is_sparse(a) -> bool:
+    """scipy.sparse.issparse(a), without importing scipy.sparse for dense callers.
+
+    Nothing can be a sparse array before scipy.sparse is imported, and
+    the import would add ~15 ms to every fresh ``import tipsychase``.
+    """
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(a)
+
+
+def _as_matrix(a):
+    """A read-only float64 ndarray, or a sparse input as a read-only float64 CSR copy.
+
+    The solve cache relies on the matrices it was built from staying
+    fixed.  A sparse input is copied, so the caller's arrays stay
+    writable, and put in canonical form, so that no later operation
+    sorts or merges its entries in place.
+    """
+    if _is_sparse(a):
+        m = a.tocsr(copy=True).astype(float, copy=False)
+        m.sum_duplicates()
+        for arr in (m.data, m.indices, m.indptr):
+            arr.flags.writeable = False
+        return m
+    arr = np.asarray(a, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+def check_dense_size(rows: int, cols: int, what: str) -> None:
+    """Raise GraphTooLarge when a dense float64 rows x cols matrix exceeds DENSE_BYTE_CAP."""
+    if rows * cols * 8 > DENSE_BYTE_CAP:
+        raise GraphTooLarge(
+            f"dense {what} would take {rows * cols * 8 / 1e9:.3g} GB, "
+            f"over the cap of {DENSE_BYTE_CAP / 1e9:.3g} GB"
+        )
+
+
 @dataclass(frozen=True)
 class MarkovChain:
-    """Row-stochastic matrix with display labels and an absorbing set."""
+    """Row-stochastic matrix with display labels and an absorbing set.
+
+    P is a read-only ndarray, or a CSR array when given sparse.
+    """
 
     state_labels: tuple[str, ...]
-    P: np.ndarray
+    P: np.ndarray | scipy.sparse.csr_array
     absorbing: frozenset[int]
 
     def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
-        P.flags.writeable = False
-        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "P", _as_matrix(self.P))
         object.__setattr__(self, "state_labels", tuple(self.state_labels))
         object.__setattr__(self, "absorbing", frozenset(self.absorbing))
 
@@ -84,19 +146,18 @@ class TransientSystem:
     ``labels`` keeps the transient states in their original chain order;
     ``absorbing_labels`` does the same for the retained absorbing states,
     so columns of R line up with them.  ``solution`` holds the solve of
-    (I - T) X = [1 | R], made on first use and kept.
+    (I - T) X = [1 | R], made on first use and kept.  T and R are dense
+    or CSR, as extracted from P.
     """
 
     labels: tuple[str, ...]
-    T: np.ndarray
-    R: np.ndarray
+    T: np.ndarray | scipy.sparse.csr_array
+    R: np.ndarray | scipy.sparse.csr_array
     absorbing_labels: tuple[str, ...]
 
     def __post_init__(self):
         for name in ("T", "R"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _as_matrix(getattr(self, name)))
 
     @property
     def n_transient(self) -> int:
@@ -118,9 +179,23 @@ class TransientSystem:
         """(expected, absorb) for every start, or None when I - T is singular.
 
         See ``_fundamental_solve``; the arrays are read-only, since every
-        caller shares them.
+        caller shares them.  ``absorb`` is None when a sparse solve left
+        it out; ``absorb_split`` then solves it.
         """
         return _fundamental_solve(self)
+
+    @functools.cached_property
+    def absorb_split(self):
+        """(I - T)^-1 R, one row per start, or None when I - T is singular.
+
+        Taken from ``solution`` when that holds it; a sparse solve leaves
+        it out, and it is then solved here on first use, by the dense LU
+        fallback (within DENSE_BYTE_CAP).
+        """
+        solved = self.solution
+        if solved is not None and solved[1] is None:
+            solved = _dense_lu_solve(self)
+        return None if solved is None else solved[1]
 
 
 @dataclass(frozen=True)
@@ -143,6 +218,10 @@ def validate(chain: MarkovChain) -> None:
     cycle) can pin a distance state in place without ending the game,
     and such a state must stay transient so that expected_rounds can
     report the divergence instead of treating it as a game-over state.
+
+    Works unchanged on a dense and a sparse P: one min and max over the
+    whole matrix, one row sum and one diagonal read; the offending row is
+    located only when a check fails.
     """
     P = chain.P
     n = chain.n_states
@@ -150,30 +229,40 @@ def validate(chain: MarkovChain) -> None:
         raise InvalidParameter(f"P has shape {P.shape}, expected ({n}, {n})")
     if len(chain.state_labels) != n:
         raise InvalidParameter("label count does not match matrix size")
-    if (P < -1e-12).any() or (P > 1 + 1e-12).any():
-        bad = int(np.argmax((P < -1e-12) | (P > 1 + 1e-12)) // n)
-        raise NotStochastic(bad, float(P[bad].sum()), "entry outside [0, 1]")
-    sums = P.sum(axis=1)
-    off = np.abs(sums - 1.0)
-    if (off > ROW_SUM_TOL).any():
-        bad = int(np.argmax(off))
-        raise NotStochastic(bad, float(sums[bad]))
+    if n:
+        sums = P.sum(axis=1)
+        if P.min() < -1e-12 or P.max() > 1 + 1e-12:
+            bad = int(((P < -1e-12) + (P > 1 + 1e-12)).nonzero()[0].min())
+            raise NotStochastic(bad, float(sums[bad]), "entry outside [0, 1]")
+        off = np.abs(sums - 1.0)
+        if off.max() > ROW_SUM_TOL:
+            bad = int(np.argmax(off))
+            raise NotStochastic(bad, float(sums[bad]))
+    diag = P.diagonal() if chain.absorbing else None
     for i in chain.absorbing:
         if not 0 <= i < n:
             raise InconsistentAbsorbing(i, "absorbing index out of range")
-        if abs(P[i, i] - 1.0) > ROW_SUM_TOL:
-            raise InconsistentAbsorbing(i, f"flagged absorbing but P[{i},{i}] = {P[i, i]!r}")
+        if abs(diag[i] - 1.0) > ROW_SUM_TOL:
+            raise InconsistentAbsorbing(i, f"flagged absorbing but P[{i},{i}] = {diag[i]!r}")
 
 
 def transition_probability(chain: MarkovChain, i, j, rounds: int) -> float:
-    """Probability of going from state i to state j in exactly ``rounds`` steps."""
+    """Probability of going from state i to state j in exactly ``rounds`` steps.
+
+    P is applied ``rounds`` times to the indicator of j, on a dense or a
+    sparse P alike.
+    """
     a = chain.index(i)
     b = chain.index(j)
     if rounds < 0:
         raise InvalidParameter(f"rounds must be >= 0, got {rounds}")
     if rounds == 0:
         return 1.0 if a == b else 0.0
-    return float(np.linalg.matrix_power(chain.P, rounds)[a, b])
+    vec = np.zeros(chain.n_states)
+    vec[b] = 1.0
+    for _ in range(rounds):
+        vec = chain.P @ vec
+    return float(vec[a])
 
 
 def extract_transient(chain: MarkovChain) -> TransientSystem:
@@ -213,33 +302,112 @@ def survival_probability(ts: TransientSystem, d, rounds: int) -> float:
 
 
 def _fundamental_solve(ts: TransientSystem):
-    """LU-solve (I - T) X = [1 | R].
+    """Solve (I - T) X = [1 | R]: by LU when T is dense, else ``_sparse_solve``.
 
     Returns (expected, absorb) where ``expected`` is the vector of
     expected absorption times and ``absorb`` the matrix of absorption
-    probabilities per retained absorbing state, or None when a pivot of
-    the factorization falls below PIVOT_TOL * max|I - T| (the chain then
-    has a transient part that never drains).
+    probabilities per retained absorbing state (None when a sparse solve
+    left it out), or None when the chain has a transient part that never
+    drains.
     """
-    A = np.eye(ts.n_transient) - ts.T
+    if _is_sparse(ts.T):
+        return _sparse_solve(ts)
+    return _lu_solve(np.array(ts.T, order="F"), ts.R)
+
+
+def _lu_solve(A: np.ndarray, R: np.ndarray):
+    """LU-solve (I - T) X = [1 | R]; None when a pivot falls below PIVOT_TOL * max|I - T|.
+
+    A is a Fortran-ordered copy of T that the call owns: it becomes I - T
+    in place and LAPACK factors it in place, so one n x n matrix is live.
+    """
+    n = A.shape[0]
+    np.subtract(0.0, A, out=A)  # 0 - t, so that I - T keeps +0.0 off the diagonal
+    A[np.diag_indices(n)] += 1.0
+    threshold = PIVOT_TOL * max(A.max(), -A.min(), 1.0)
     with warnings.catch_warnings():
         # exactly singular chains are an expected code path (divergent games)
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    threshold = PIVOT_TOL * max(np.abs(A).max(), 1.0)
+        lu, piv = scipy.linalg.lu_factor(A, overwrite_a=True, check_finite=False)
     if np.abs(np.diag(lu)).min() < threshold:
         return None
-    rhs = np.column_stack([np.ones(ts.n_transient), ts.R])
+    rhs = np.column_stack([np.ones(n), R])
     sol = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
     sol.flags.writeable = False
     return sol[:, 0], sol[:, 1:]
 
 
+def _dense_lu_solve(ts: TransientSystem):
+    """``_lu_solve`` on a sparse system's dense copy, within DENSE_BYTE_CAP."""
+    check_dense_size(ts.n_transient, ts.n_transient, "fallback solve of I - T")
+    return _lu_solve(ts.T.toarray(order="F"), ts.R.toarray())
+
+
+def _drains(ts: TransientSystem) -> bool:
+    """Whether every transient state reaches an exit along the support of T.
+
+    An exit is a state with a non-zero entry in R.  The test is a
+    breadth-first search from a virtual root linked to every exit, over
+    the reversed non-zero entries of T (Tarjan 1972 on the same graph
+    would give the closed classes themselves).
+    """
+    from scipy.sparse import csgraph, csr_array
+
+    n = ts.n_transient
+    T = ts.T.tocoo()
+    edge = T.data != 0
+    exits = np.flatnonzero(abs(ts.R).sum(axis=1) > 0)
+    rows = np.concatenate([T.col[edge], np.full(exits.size, n)])
+    cols = np.concatenate([T.row[edge], exits])
+    graph = csr_array((np.ones(rows.size), (rows, cols)), shape=(n + 1, n + 1))
+    reached = csgraph.breadth_first_order(graph, n, directed=True, return_predecessors=False)
+    return reached.size == n + 1
+
+
+def _krylov(A, b: np.ndarray):
+    """BiCGSTAB solve of A x = b, or None unless max|A x - b| <= RESIDUAL_TOL * max|b|."""
+    from scipy.sparse.linalg import bicgstab
+
+    scale = float(np.abs(b).max())
+    x, _ = bicgstab(A, b, rtol=0.0, atol=KRYLOV_TOL * scale, maxiter=KRYLOV_MAXITER)
+    residual = np.abs(A @ x - b).max()
+    if not residual <= RESIDUAL_TOL * scale:  # also refuses a NaN from a breakdown
+        return None
+    return x
+
+
+def _sparse_solve(ts: TransientSystem):
+    """Expected rounds on a sparse T, in three steps.
+
+    1. Divergence is decided from structure: when some transient state
+       cannot reach an exit (``_drains``), the result is None, as for an
+       exactly singular dense system.
+    2. Otherwise every state drains, so absorption is certain and only
+       (I - T) x = 1 is solved, by BiCGSTAB, accepted under the residual
+       check of ``_krylov``.  ``absorb`` is left None; ``absorb_split``
+       solves it if asked.
+    3. When the check fails (BiCGSTAB breaks down or stalls on a nearly
+       singular chain), the system is solved as a dense one, so such a
+       chain reads exactly as it does dense.
+    """
+    from scipy.sparse import eye_array
+
+    if not _drains(ts):
+        return None
+    A = (eye_array(ts.n_transient) - ts.T).tocsr()
+    expected = _krylov(A, np.ones(ts.n_transient))
+    if expected is None:
+        return _dense_lu_solve(ts)
+    expected.flags.writeable = False
+    return expected, None
+
+
 def expected_rounds(ts: TransientSystem, d) -> ExpectationResult:
     """Expected number of rounds until absorption starting from d.
 
-    Reports INFINITE when (I - T) is numerically singular or when the
-    total absorption probability from d falls short of one; a finite
+    Reports INFINITE when (I - T) is singular (decided from the support
+    of T on a sparse system, from the LU pivots on a dense one) or when
+    the total absorption probability from d falls short of one; a finite
     answer would be meaningless in either case.
     """
     i = ts.index(d)
@@ -247,11 +415,12 @@ def expected_rounds(ts: TransientSystem, d) -> ExpectationResult:
     if solved is None:
         return ExpectationResult(INFINITE, "I - T is numerically singular")
     expected, absorb = solved
-    total = float(absorb[i].sum()) if absorb.shape[1] else 0.0
-    if total < 1.0 - ABSORPTION_TOL:
-        return ExpectationResult(
-            INFINITE, f"absorption probability from start is {total:.6g} < 1"
-        )
+    if absorb is not None:  # None: a sparse solve found that every state drains
+        total = float(absorb[i].sum()) if absorb.shape[1] else 0.0
+        if total < 1.0 - ABSORPTION_TOL:
+            return ExpectationResult(
+                INFINITE, f"absorption probability from start is {total:.6g} < 1"
+            )
     return ExpectationResult(float(expected[i]))
 
 
@@ -264,10 +433,9 @@ def absorption_split(ts: TransientSystem, d) -> dict[str, float]:
     i = ts.index(d)
     if ts.R.shape[1] == 0:
         raise InvalidParameter("chain retains no absorbing states")
-    solved = ts.solution
-    if solved is None:
+    absorb = ts.absorb_split
+    if absorb is None:
         raise Divergent(None, 0.0)
-    _, absorb = solved
     masses = {lab: float(absorb[i, k]) for k, lab in enumerate(ts.absorbing_labels)}
     total = sum(masses.values())
     if total < 1.0 - ABSORPTION_TOL:

@@ -157,8 +157,10 @@ def cmd_analyze(args) -> int:
             raise ConfigError("--schedule is not supported with --graph-file")
         if args.cop is None or args.robber is None:
             raise ConfigError("--graph-file analysis needs --cop and --robber")
+        if want_absorption:
+            raise ConfigError("--absorption is not supported with --graph-file")
         g = graphs.load_edge_list(args.graph_file)
-        chain = joint.build_joint_chain(g, _spinner4(args), joint.standard_rules())
+        chain = joint.sparse_joint_chain(g, _spinner4(args), joint.standard_rules())
         ts = chain_mod.extract_transient(chain)
         label = f"({args.cop},{args.robber})"
         row = {"start": label}
@@ -295,7 +297,7 @@ def _verify_setup(args):
 
 def cmd_verify(args) -> int:
     hand, g, spinner, rules, lumping = _verify_setup(args)
-    joint_chain = joint.build_joint_chain(g, spinner, rules)
+    joint_chain = joint.sparse_joint_chain(g, spinner, rules)
     try:
         lumped = joint.lump(joint_chain, lumping)
     except NotLumpable as exc:

@@ -19,6 +19,24 @@ reference 7x7 chain resolves it by acting on the larger axis gap first
 (the cop shrinks it, the robber grows it).  ``tie_break`` hooks that
 preference in: candidates are first filtered by hop distance, then by
 the tie-break key (cop keeps the minimum key, robber the maximum).
+
+Assembly
+--------
+The joint chain and the simulator share one move layer,
+``_move_tables``: per ordered pair, the sober cop's and the sober
+robber's targets, plus every vertex's neighbour list for tipsy moves.
+P is assembled from those tables in COO form, one block per spinner
+outcome with a positive weight, plus identity rows for captures.
+``sparse_joint_chain`` keeps it as a CSR array (a joint chain is about
+0.1% non-zero: 51,921 entries of the 9x9 torus's 6,561^2), and
+``build_joint_chain`` is the dense view of the same entries, equal bit
+for bit to adding the four move distributions row by row.
+
+Because they are tables, every move distribution must be uniform over
+its targets, as the simulator also requires; every rule set here is.
+Hop-based rules are tabulated with array operations; any other rule
+set by calling its ``cop_move`` / ``robber_move`` once per pair, and a
+non-uniform distribution is refused with InvalidParameter.
 """
 
 from __future__ import annotations
@@ -38,21 +56,22 @@ MoveDistribution = dict[int, float]
 TieBreak = Callable[[Graph, int, int], float]
 
 LUMP_TOL = 1e-9
+PAIR_TABLE_CAP = 8_000_000  # entries; guards the dense (cop, robber) move tables
 
 
 @dataclass(frozen=True)
 class StrategyRules:
-    """Per-player move distributions given (graph, cop, robber).
+    """Sober move distributions given (graph, cop, robber).
 
     ``hop_based`` marks rules of the standard shape (optimize hop
-    distance, refine ties with ``tie_break``, split uniformly); the
-    simulator exploits that structure to build its move tables with
-    array operations instead of per-pair calls.
+    distance, refine ties with ``tie_break``, split uniformly);
+    ``_move_tables`` exploits that structure to tabulate them with array
+    operations instead of per-pair calls.  Tipsy moves are always a
+    uniformly random neighbour.
     """
 
     cop_move: Callable[[Graph, int, int], MoveDistribution]
     robber_move: Callable[[Graph, int, int], MoveDistribution]
-    tipsy_move: Callable[[Graph, int], MoveDistribution]
     hop_based: bool = False
     tie_break: TieBreak | None = None
 
@@ -60,10 +79,6 @@ class StrategyRules:
 def _uniform(targets) -> MoveDistribution:
     share = 1.0 / len(targets)
     return {v: share for v in targets}
-
-
-def _tipsy(g: Graph, v: int) -> MoveDistribution:
-    return _uniform(g.neighbors[v])
 
 
 def _refine(g: Graph, candidates, other: int, tie_break: TieBreak | None, pick_max: bool):
@@ -95,7 +110,6 @@ def standard_rules(tie_break: TieBreak | None = None) -> StrategyRules:
     return StrategyRules(
         cop_move=cop_move,
         robber_move=robber_move,
-        tipsy_move=_tipsy,
         hop_based=True,
         tie_break=tie_break,
     )
@@ -120,42 +134,215 @@ def pair_index(g: Graph, cop: int, robber: int) -> int:
     return cop * g.vertex_count + robber
 
 
-def build_joint_chain(
-    g: Graph, s: SpinnerFour, rules: StrategyRules, state_cap: int = 10**6
-) -> MarkovChain:
-    """Chain over all ordered (cop, robber) pairs; capture states absorb.
+# ------------------------------------------------------------ move tables
 
-    Each non-capture row mixes the four one-player moves with the
-    spinner weights.
-    """
+
+def _uniform_targets(dist: dict[int, float], where: str):
+    """Targets of an equal-weight distribution (the only kind the tables hold)."""
+    targets = sorted(dist)
+    share = 1.0 / len(targets)
+    for v in targets:
+        if abs(dist[v] - share) > 1e-12:
+            raise InvalidParameter(
+                f"{where}: move tables support uniform move distributions only"
+            )
+    return targets
+
+
+def _padded_neighbors(g: Graph):
+    V = g.vertex_count
+    maxdeg = max(g.degree(v) for v in range(V))
+    nbr = np.zeros((V, maxdeg), dtype=np.int32)
+    deg = np.zeros(V, dtype=np.int32)
+    for v in range(V):
+        ns = g.neighbors[v]
+        deg[v] = len(ns)
+        nbr[v, : len(ns)] = ns
+    return nbr, deg, maxdeg
+
+
+def _tie_key_matrix(g: Graph, rules: StrategyRules):
+    if rules.tie_break is None:
+        return None
+    V = g.vertex_count
+    key = np.empty((V, V))
+    for v in range(V):
+        for w in range(V):
+            key[v, w] = rules.tie_break(g, v, w)
+    return key
+
+
+def _pack_mask(rows, mask, tab, cnt, vertex_ids):
+    """Write the True rows of ``mask`` (per column) into padded tables."""
+    counts = mask.sum(axis=0)
+    width = min(tab.shape[1], mask.shape[0])
+    order = np.argsort(~mask, axis=0, kind="stable")[:width]
+    packed = vertex_ids[order].T.astype(tab.dtype)
+    packed[np.arange(width)[None, :] >= counts[:, None]] = 0
+    tab[rows, :width] = packed
+    cnt[rows] = counts
+
+
+def _hop_move_tables(g: Graph, rules: StrategyRules, maxdeg):
+    """Vectorized tables for hop-distance rules: one numpy pass per vertex."""
+    V = g.vertex_count
+    dist = g.distance
+    key = _tie_key_matrix(g, rules)
+    cop_tab = np.zeros((V * V, maxdeg), dtype=np.int32)
+    cop_cnt = np.zeros(V * V, dtype=np.int32)
+    rob_tab = np.zeros((V * V, maxdeg + 1), dtype=np.int32)  # +1: robber may stay
+    rob_cnt = np.zeros(V * V, dtype=np.int32)
+
+    for v in range(V):
+        ns = np.array(g.neighbors[v], dtype=np.int64)
+        D = dist[ns]  # (deg, V): distance from each neighbor to every opponent
+        rows_cop = v * V + np.arange(V)
+
+        mask = D == D.min(axis=0)
+        if key is not None:
+            Kc = key[ns]
+            best = np.where(mask, Kc, np.inf).min(axis=0)
+            mask &= Kc == best
+        _pack_mask(rows_cop, mask, cop_tab, cop_cnt, ns)
+
+        # robber at v against every cop position w (pairs w * V + v)
+        rows_rob = np.arange(V) * V + v
+        here = dist[v]
+        mask = D == D.max(axis=0)
+        if key is not None:
+            Kr = key[ns]
+            best = np.where(mask, Kr, -np.inf).max(axis=0)
+            mask &= Kr == best
+        _pack_mask(rows_rob, mask, rob_tab, rob_cnt, ns)
+        stay = (D < here).all(axis=0)
+        if stay.any():
+            idx = rows_rob[stay]
+            rob_tab[idx, 0] = v
+            rob_cnt[idx] = 1
+
+    return cop_tab, cop_cnt, rob_tab, rob_cnt
+
+
+def _generic_move_tables(g: Graph, rules: StrategyRules, maxdeg):
+    """Fallback tables built by calling the rule functions pair by pair."""
+    V = g.vertex_count
+    cop_tab = np.zeros((V * V, maxdeg), dtype=np.int32)
+    cop_cnt = np.zeros(V * V, dtype=np.int32)
+    rob_tab = np.zeros((V * V, maxdeg + 1), dtype=np.int32)
+    rob_cnt = np.zeros(V * V, dtype=np.int32)
+    for cop in range(V):
+        for robber in range(V):
+            if cop == robber:
+                continue
+            pair = cop * V + robber
+            targets = _uniform_targets(rules.cop_move(g, cop, robber), "cop_move")
+            cop_cnt[pair] = len(targets)
+            cop_tab[pair, : len(targets)] = targets
+            targets = _uniform_targets(rules.robber_move(g, cop, robber), "robber_move")
+            rob_cnt[pair] = len(targets)
+            rob_tab[pair, : len(targets)] = targets
+    return cop_tab, cop_cnt, rob_tab, rob_cnt
+
+
+def _move_tables(g: Graph, rules: StrategyRules):
+    """Dense per-pair sober-move tables plus padded neighbor lists."""
+    V = g.vertex_count
+    nbr, deg, maxdeg = _padded_neighbors(g)
+    if V * V * maxdeg > PAIR_TABLE_CAP:
+        raise InvalidParameter(
+            f"graph too large for the (cop, robber) move tables "
+            f"({V} vertices, max degree {maxdeg})"
+        )
+    build = _hop_move_tables if rules.hop_based else _generic_move_tables
+    cop_tab, cop_cnt, rob_tab, rob_cnt = build(g, rules, maxdeg)
+    return nbr, deg, cop_tab, cop_cnt, rob_tab, rob_cnt
+
+
+# ------------------------------------------------------------ joint chain
+
+
+def _joint_states(g: Graph, state_cap: int) -> int:
     V = g.vertex_count
     if V < 2:
         raise InvalidParameter("joint chain needs at least 2 vertices")
     n_states = V * V
     if n_states > state_cap:
         raise GraphTooLarge(f"{n_states} joint states exceed the cap of {state_cap}")
+    return n_states
 
+
+def _assemble(g: Graph, s: SpinnerFour, rules: StrategyRules):
+    """(labels, (values, (rows, cols)), absorbing) of the joint chain's P.
+
+    A non-capture row mixes the four one-player moves with the spinner
+    weights: weight * (1 / target count) on each target pair.  Two
+    entries fall on one cell only when a player's sober and tipsy moves
+    share a target, so the sum is the same in any order.
+    """
+    V = g.vertex_count
+    nbr, deg, cop_tab, cop_cnt, rob_tab, rob_cnt = _move_tables(g, rules)
+    pairs = np.arange(V * V)
+    cop, robber = np.divmod(pairs, V)
+    live = cop != robber
+    pairs, cop, robber = pairs[live], cop[live], robber[live]
+
+    rows, cols, vals = [], [], []
+    for weight, tab, cnt, cop_moves in (
+        (s.c, cop_tab[pairs], cop_cnt[pairs], True),
+        (s.t_c, nbr[cop], deg[cop], True),
+        (s.r, rob_tab[pairs], rob_cnt[pairs], False),
+        (s.t_r, nbr[robber], deg[robber], False),
+    ):
+        if weight == 0.0:
+            continue  # no entries: the structural divergence test reads the support of P
+        target = tab[np.arange(tab.shape[1]) < cnt[:, None]].astype(np.int64)
+        rows.append(np.repeat(pairs, cnt))
+        if cop_moves:
+            cols.append(target * V + np.repeat(robber, cnt))
+        else:
+            cols.append(np.repeat(cop, cnt) * V + target)
+        vals.append(np.repeat(weight * (1.0 / cnt), cnt))
+    capture = np.arange(V) * (V + 1)
+    rows.append(capture)
+    cols.append(capture)
+    vals.append(np.ones(V))
+
+    labels = tuple(f"({c},{r})" for c in range(V) for r in range(V))
+    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return labels, entries, frozenset(capture.tolist())
+
+
+def sparse_joint_chain(
+    g: Graph, s: SpinnerFour, rules: StrategyRules, state_cap: int = 10**6
+) -> MarkovChain:
+    """Chain over all ordered (cop, robber) pairs, P a CSR array; capture states absorb.
+
+    State ``pair_index(g, cop, robber)`` is labelled "(cop,robber)".
+    """
+    import scipy.sparse  # deferred: dense-only callers never pay its import
+
+    n_states = _joint_states(g, state_cap)
+    labels, entries, absorbing = _assemble(g, s, rules)
+    P = scipy.sparse.csr_array(entries, shape=(n_states, n_states))
+    built = MarkovChain(labels, P, absorbing)
+    chain_mod.validate(built)
+    return built
+
+
+def build_joint_chain(
+    g: Graph, s: SpinnerFour, rules: StrategyRules, state_cap: int = 10**6
+) -> MarkovChain:
+    """Dense view of ``sparse_joint_chain``, with the same states and entries.
+
+    Refuses with GraphTooLarge, before allocating, when the dense P
+    would exceed ``chain.DENSE_BYTE_CAP``.
+    """
+    n_states = _joint_states(g, state_cap)
+    chain_mod.check_dense_size(n_states, n_states, "joint chain P")
+    labels, (vals, (rows, cols)), absorbing = _assemble(g, s, rules)
     P = np.zeros((n_states, n_states))
-    absorbing = set()
-    labels = []
-    for cop in range(V):
-        for robber in range(V):
-            i = pair_index(g, cop, robber)
-            labels.append(f"({cop},{robber})")
-            if cop == robber:
-                P[i, i] = 1.0
-                absorbing.add(i)
-                continue
-            for target, prob in rules.cop_move(g, cop, robber).items():
-                P[i, pair_index(g, target, robber)] += s.c * prob
-            for target, prob in rules.tipsy_move(g, cop).items():
-                P[i, pair_index(g, target, robber)] += s.t_c * prob
-            for target, prob in rules.robber_move(g, cop, robber).items():
-                P[i, pair_index(g, cop, target)] += s.r * prob
-            for target, prob in rules.tipsy_move(g, robber).items():
-                P[i, pair_index(g, cop, target)] += s.t_r * prob
-
-    built = MarkovChain(tuple(labels), P, frozenset(absorbing))
+    np.add.at(P, (rows, cols), vals)
+    built = MarkovChain(labels, P, absorbing)
     chain_mod.validate(built)
     return built
 

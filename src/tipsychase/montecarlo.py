@@ -26,9 +26,7 @@ import numpy as np
 from .errors import InvalidParameter, InvalidStart
 from .families import SpinnerFour
 from .graphs import Graph
-from .joint import StrategyRules
-
-PAIR_TABLE_CAP = 8_000_000  # entries; guards the dense (cop, robber) move tables
+from .joint import StrategyRules, _move_tables
 
 
 @dataclass(frozen=True)
@@ -74,127 +72,6 @@ class SimReport:
         if rounds == 0:
             return 0.0
         return float(self.survival_se[rounds - 1])
-
-
-def _uniform_targets(dist: dict[int, float], where: str):
-    """Targets of an equal-weight distribution (the only kind the rules emit)."""
-    targets = sorted(dist)
-    share = 1.0 / len(targets)
-    for v in targets:
-        if abs(dist[v] - share) > 1e-12:
-            raise InvalidParameter(
-                f"{where}: simulation supports uniform move distributions only"
-            )
-    return targets
-
-
-def _padded_neighbors(g: Graph):
-    V = g.vertex_count
-    maxdeg = max(g.degree(v) for v in range(V))
-    nbr = np.zeros((V, maxdeg), dtype=np.int32)
-    deg = np.zeros(V, dtype=np.int32)
-    for v in range(V):
-        ns = g.neighbors[v]
-        deg[v] = len(ns)
-        nbr[v, : len(ns)] = ns
-    return nbr, deg, maxdeg
-
-
-def _tie_key_matrix(g: Graph, rules: StrategyRules):
-    if rules.tie_break is None:
-        return None
-    V = g.vertex_count
-    key = np.empty((V, V))
-    for v in range(V):
-        for w in range(V):
-            key[v, w] = rules.tie_break(g, v, w)
-    return key
-
-
-def _pack_mask(rows, mask, tab, cnt, vertex_ids):
-    """Write the True rows of ``mask`` (per column) into padded tables."""
-    counts = mask.sum(axis=0)
-    width = min(tab.shape[1], mask.shape[0])
-    order = np.argsort(~mask, axis=0, kind="stable")[:width]
-    packed = vertex_ids[order].T.astype(tab.dtype)
-    packed[np.arange(width)[None, :] >= counts[:, None]] = 0
-    tab[rows, :width] = packed
-    cnt[rows] = counts
-
-
-def _hop_move_tables(g: Graph, rules: StrategyRules, maxdeg):
-    """Vectorized tables for hop-distance rules: one numpy pass per vertex."""
-    V = g.vertex_count
-    dist = g.distance
-    key = _tie_key_matrix(g, rules)
-    cop_tab = np.zeros((V * V, maxdeg), dtype=np.int32)
-    cop_cnt = np.zeros(V * V, dtype=np.int32)
-    rob_tab = np.zeros((V * V, maxdeg + 1), dtype=np.int32)  # +1: robber may stay
-    rob_cnt = np.zeros(V * V, dtype=np.int32)
-
-    for v in range(V):
-        ns = np.array(g.neighbors[v], dtype=np.int64)
-        D = dist[ns]  # (deg, V): distance from each neighbor to every opponent
-        rows_cop = v * V + np.arange(V)
-
-        mask = D == D.min(axis=0)
-        if key is not None:
-            Kc = key[ns]
-            best = np.where(mask, Kc, np.inf).min(axis=0)
-            mask &= Kc == best
-        _pack_mask(rows_cop, mask, cop_tab, cop_cnt, ns)
-
-        # robber at v against every cop position w (pairs w * V + v)
-        rows_rob = np.arange(V) * V + v
-        here = dist[v]
-        mask = D == D.max(axis=0)
-        if key is not None:
-            Kr = key[ns]
-            best = np.where(mask, Kr, -np.inf).max(axis=0)
-            mask &= Kr == best
-        _pack_mask(rows_rob, mask, rob_tab, rob_cnt, ns)
-        stay = (D < here).all(axis=0)
-        if stay.any():
-            idx = rows_rob[stay]
-            rob_tab[idx, 0] = v
-            rob_cnt[idx] = 1
-
-    return cop_tab, cop_cnt, rob_tab, rob_cnt
-
-
-def _generic_move_tables(g: Graph, rules: StrategyRules, maxdeg):
-    """Fallback tables built by calling the rule functions pair by pair."""
-    V = g.vertex_count
-    cop_tab = np.zeros((V * V, maxdeg), dtype=np.int32)
-    cop_cnt = np.zeros(V * V, dtype=np.int32)
-    rob_tab = np.zeros((V * V, maxdeg + 1), dtype=np.int32)
-    rob_cnt = np.zeros(V * V, dtype=np.int32)
-    for cop in range(V):
-        for robber in range(V):
-            if cop == robber:
-                continue
-            pair = cop * V + robber
-            targets = _uniform_targets(rules.cop_move(g, cop, robber), "cop_move")
-            cop_cnt[pair] = len(targets)
-            cop_tab[pair, : len(targets)] = targets
-            targets = _uniform_targets(rules.robber_move(g, cop, robber), "robber_move")
-            rob_cnt[pair] = len(targets)
-            rob_tab[pair, : len(targets)] = targets
-    return cop_tab, cop_cnt, rob_tab, rob_cnt
-
-
-def _move_tables(g: Graph, rules: StrategyRules):
-    """Dense per-pair sober-move tables plus padded neighbor lists."""
-    V = g.vertex_count
-    nbr, deg, maxdeg = _padded_neighbors(g)
-    if V * V * maxdeg > PAIR_TABLE_CAP:
-        raise InvalidParameter(
-            f"graph too large for simulation move tables "
-            f"({V} vertices, max degree {maxdeg})"
-        )
-    build = _hop_move_tables if rules.hop_based else _generic_move_tables
-    cop_tab, cop_cnt, rob_tab, rob_cnt = build(g, rules, maxdeg)
-    return nbr, deg, cop_tab, cop_cnt, rob_tab, rob_cnt
 
 
 _BLOCK_ROUNDS = 128

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from conftest import FAMILY_BUILDERS
 from tipsychase import chain, families
@@ -39,6 +40,10 @@ def brute_force_transition(P, i, j, steps):
     return total
 
 
+# validate must act the same on a dense and a sparse P
+AS_MATRIX = (np.asarray, scipy.sparse.csr_array)
+
+
 class TestValidate:
     def test_simple_ok(self):
         c = chain.MarkovChain(("a", "b"), [[1.0, 0.0], [0.3, 0.7]], frozenset({0}))
@@ -48,21 +53,37 @@ class TestValidate:
         chain.validate(ruin_chain(0.4))
 
     def test_row_sum_failure(self):
-        c = chain.MarkovChain(("a", "b"), [[1.0, 0.0], [0.3, 0.6]], frozenset({0}))
-        with pytest.raises(NotStochastic) as info:
-            chain.validate(c)
-        assert info.value.row == 1
-        assert info.value.total == pytest.approx(0.9)
+        for as_matrix in AS_MATRIX:
+            P = as_matrix([[1.0, 0.0], [0.3, 0.6]])
+            c = chain.MarkovChain(("a", "b"), P, frozenset({0}))
+            with pytest.raises(NotStochastic) as info:
+                chain.validate(c)
+            assert info.value.row == 1
+            assert info.value.total == pytest.approx(0.9)
 
     def test_negative_entry(self):
-        c = chain.MarkovChain(("a", "b"), [[1.0, 0.0], [1.3, -0.3]], frozenset({0}))
-        with pytest.raises(NotStochastic):
-            chain.validate(c)
+        for as_matrix in AS_MATRIX:
+            P = as_matrix([[1.0, 0.0], [1.3, -0.3]])
+            c = chain.MarkovChain(("a", "b"), P, frozenset({0}))
+            with pytest.raises(NotStochastic):
+                chain.validate(c)
 
     def test_absorbing_flag_without_identity_row(self):
-        c = chain.MarkovChain(("a", "b"), [[0.5, 0.5], [0.0, 1.0]], frozenset({0}))
-        with pytest.raises(InconsistentAbsorbing):
-            chain.validate(c)
+        for as_matrix in AS_MATRIX:
+            P = as_matrix([[0.5, 0.5], [0.0, 1.0]])
+            c = chain.MarkovChain(("a", "b"), P, frozenset({0}))
+            with pytest.raises(InconsistentAbsorbing):
+                chain.validate(c)
+
+    def test_entry_check_reports_first_bad_row(self):
+        # rows 1 and 2 both hold an entry above 1; rows sum to 1 throughout
+        P = [[1.0, 0.0, 0.0], [-0.5, 0.0, 1.5], [1.25, -0.25, 0.0]]
+        for as_matrix in AS_MATRIX:
+            c = chain.MarkovChain(("a", "b", "c"), as_matrix(P), frozenset({0}))
+            with pytest.raises(NotStochastic) as info:
+                chain.validate(c)
+            assert info.value.row == 1
+            assert "outside [0, 1]" in str(info.value)
 
     def test_undeclared_self_loop_row_is_allowed(self):
         # a pinned-but-not-game-over state stays transient (degenerate spinners)
@@ -359,3 +380,18 @@ class TestSolveCache:
             absorb[0, 0] = 0.0
         assert chain.expected_rounds(ts, "1").value == pytest.approx(expected[0])
         assert ts.solution is ts.solution
+
+    def test_sparse_inputs_are_read_only_copies(self):
+        dense = ruin_chain(0.4)
+        P = scipy.sparse.csr_array(dense.P)
+        c = chain.MarkovChain(dense.state_labels, P, dense.absorbing)
+        ts = chain.extract_transient(c)
+        before = ts.solution[0].copy()
+        for m in (c.P, ts.T, ts.R):
+            for arr in (m.data, m.indices, m.indptr):
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+        P.data[:] = 0.5  # the caller's matrix stays writable and is not shared
+        assert np.array_equal(c.P.toarray(), dense.P)
+        assert np.array_equal(ts.solution[0], before)
+        assert ts.absorb_split.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-12)

@@ -113,6 +113,18 @@ class TestAnalyze:
         rows = rows_from_csv(out)
         assert float(rows[0]["E"]) == pytest.approx(1.0)
 
+    def test_graph_file_fleeing_robber_is_infinite(self, capsys, tmp_path):
+        # the sparse joint chain decides divergence from its structure
+        path = tmp_path / "cycle6.txt"
+        path.write_text("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
+        code, out, _ = run_cli(
+            ["analyze", "--graph-file", str(path), "--c", "0", "--r", "1",
+             "--t", "0", "--cop", "0", "--robber", "2", "--rounds", "5"],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines()[1].split() == ["(0,2)", "1", "Infinite"]
+
     def test_schedule_conflicts_with_static_spinner(self, capsys):
         code, _, err = run_cli(
             ["analyze", "--family", "cycle", "--n", "6", "--schedule", "linear",
@@ -135,6 +147,8 @@ class TestAnalyze:
             (["--c", "0.3", "--r", "0.3", "--t", "0.4", "--rounds", "x"], "--rounds"),
             (["--graph-file", "/nonexistent", "--cop", "0", "--robber", "1",
               "--c", "0.3", "--r", "0.3", "--t", "0.4"], "cannot read"),
+            (["--graph-file", "/nonexistent", "--cop", "0", "--robber", "1",
+              "--c", "0.3", "--r", "0.3", "--t", "0.4", "--absorption"], "--absorption"),
         ],
     )
     def test_malformed_input_is_config_error(self, capsys, extra, message):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_connected_graph, random_spinner3, random_spinner4
 from tipsychase import chain, families, graphs, joint
-from tipsychase.errors import GraphTooLarge, InvalidParameter, NotLumpable
+from tipsychase.errors import Divergent, GraphTooLarge, InvalidParameter, NotLumpable
 
 
 def entry(c, g, from_pair, to_pair):
@@ -76,6 +76,25 @@ class TestBuildJointChain:
                 g, families.SpinnerFour(0.25, 0.25, 0.25, 0.25),
                 joint.standard_rules(), state_cap=100,
             )
+
+    def test_dense_byte_cap_refuses_before_allocating(self, monkeypatch):
+        # 40,000 states pass the state cap, but a dense P would take 12.8 GB
+        g = graphs.cycle_graph(200)
+        s = families.SpinnerFour(0.25, 0.25, 0.25, 0.25)
+        assert (g.vertex_count**2) ** 2 * 8 > chain.DENSE_BYTE_CAP
+
+        def no_assembly(*args):
+            raise AssertionError("assembled before the size check")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(joint, "_assemble", no_assembly)
+            with pytest.raises(GraphTooLarge):
+                joint.build_joint_chain(g, s, joint.standard_rules())
+        sparse = joint.sparse_joint_chain(g, s, joint.standard_rules())
+        assert sparse.n_states == 40_000
+        # four cells a row, five on the 200 antipodal rows (where the sober
+        # robber stays put) and one on each of the 200 capture rows
+        assert sparse.P.nnz == 4 * 39_600 + 5 * 200 + 200
 
 
 class TestLumping:
@@ -191,3 +210,114 @@ def test_survival_monotone_from_joint_states(rng):
     d = ts.labels[0]
     values = [chain.survival_probability(ts, d, m) for m in range(8)]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+
+SPARSE_TOL = 1e-10  # relative; sparse (BiCGSTAB) against dense LU
+
+
+def _sample_graph(seed):
+    return random_connected_graph(np.random.default_rng(seed), 9)
+
+
+# name -> (graph, rules) builders for the sparse-versus-dense comparisons
+SOLVE_CASES = {
+    **{f"random{seed}": (lambda seed=seed: (_sample_graph(seed), joint.standard_rules()))
+       for seed in (1, 2, 3)},
+    **{f"cycle{n}": (lambda n=n: (graphs.cycle_graph(n), joint.standard_rules()))
+       for n in (4, 7, 10)},
+    "petersen": lambda: (graphs.petersen_graph(), joint.standard_rules()),
+    "friendship4": lambda: (graphs.friendship_graph(4), joint.standard_rules()),
+    **{f"torus{m}{kind}": (lambda m=m, kind=kind: (
+        graphs.torus_grid(m, m),
+        joint.torus_rules(m, m) if kind == "axis" else joint.standard_rules()))
+       for m in (5, 7) for kind in ("axis", "std")},
+}
+
+
+def _both(name, s):
+    g, rules = SOLVE_CASES[name]()
+    dense = chain.extract_transient(joint.build_joint_chain(g, s, rules))
+    sparse = chain.extract_transient(joint.sparse_joint_chain(g, s, rules))
+    assert sparse.labels == dense.labels
+    return dense, sparse
+
+
+def _rel(a, b):
+    return np.abs(a - b) / np.maximum(np.abs(b), np.finfo(float).tiny)
+
+
+class TestSparseSolve:
+    @pytest.mark.parametrize("name", sorted(SOLVE_CASES))
+    def test_matches_dense_lu(self, name):
+        s = random_spinner4(np.random.default_rng(sorted(SOLVE_CASES).index(name)))
+        dense, sparse = _both(name, s)
+        assert sparse.solution[1] is None  # solved by BiCGSTAB, not the dense fallback
+        E_dense = np.array([chain.expected_rounds(dense, d).value for d in dense.labels])
+        E_sparse = np.array([chain.expected_rounds(sparse, d).value for d in sparse.labels])
+        assert np.isfinite(E_dense).all()
+        assert _rel(E_sparse, E_dense).max() <= SPARSE_TOL
+        for m in (0, 1, 7, 50):
+            G_dense = chain.survival_vector(dense, m)
+            assert _rel(chain.survival_vector(sparse, m), G_dense).max() <= SPARSE_TOL
+
+    @pytest.mark.parametrize("name", ["cycle7", "petersen", "torus5axis"])
+    def test_fleeing_robber_reads_infinite_on_both_paths(self, name):
+        s = families.SpinnerFour(c=0.0, r=1.0, t_c=0.0, t_r=0.0)
+        dense, sparse = _both(name, s)
+        assert sparse.solution is None  # decided from structure, no solve
+        for ts in (dense, sparse):
+            assert all(chain.expected_rounds(ts, d).is_infinite for d in ts.labels)
+        with pytest.raises(Divergent):
+            chain.absorption_split(sparse, sparse.labels[0])
+
+    def test_transition_probability_matches_dense(self):
+        g = graphs.cycle_graph(7)
+        s = families.SpinnerFour(0.3, 0.4, 0.15, 0.15)
+        dense = joint.build_joint_chain(g, s, joint.standard_rules())
+        sparse = joint.sparse_joint_chain(g, s, joint.standard_rules())
+        for rounds in (0, 1, 7, 50):
+            for i, j in ((1, 0), (3, 3), (3, 10), (10, 24)):
+                want = chain.transition_probability(dense, i, j, rounds)
+                got = chain.transition_probability(sparse, i, j, rounds)
+                assert abs(got - want) <= SPARSE_TOL * max(want, 1e-300)
+
+    def test_absorption_split_matches_dense(self):
+        dense, sparse = _both("petersen", families.SpinnerFour(0.3, 0.4, 0.15, 0.15))
+        for d in dense.labels[:12]:
+            want = chain.absorption_split(dense, d)
+            got = chain.absorption_split(sparse, d)
+            assert list(got) == list(want)
+            assert max(abs(got[k] - want[k]) for k in want) <= SPARSE_TOL
+
+    def test_near_singular_chain_falls_back_to_dense_lu(self, monkeypatch):
+        # BiCGSTAB breaks down here, and dense LU finds I - T numerically singular
+        s = families.SpinnerFour(c=0.001, r=0.999, t_c=0.0, t_r=0.0)
+        fallbacks = []
+        dense_solve = chain._dense_lu_solve
+        monkeypatch.setattr(
+            chain, "_dense_lu_solve", lambda ts: fallbacks.append(1) or dense_solve(ts)
+        )
+        dense, sparse = _both("torus7axis", s)
+        assert dense.solution is None
+        assert sparse.solution is None
+        assert fallbacks == [1]
+        assert all(chain.expected_rounds(sparse, d).is_infinite for d in sparse.labels)
+
+    def test_failed_residual_check_reads_as_dense_lu(self, monkeypatch):
+        monkeypatch.setattr(chain, "KRYLOV_MAXITER", 1)
+        dense, sparse = _both("torus5axis", families.SpinnerFour(0.3, 0.4, 0.15, 0.15))
+        expected, absorb = sparse.solution
+        assert absorb is not None  # the dense fallback solved every column
+        assert np.array_equal(expected, dense.solution[0])
+        assert np.array_equal(absorb, dense.solution[1])
+
+    def test_dense_fallback_respects_byte_cap(self, monkeypatch):
+        monkeypatch.setattr(chain, "KRYLOV_MAXITER", 1)
+        monkeypatch.setattr(chain, "DENSE_BYTE_CAP", 1000)
+        g = graphs.cycle_graph(6)
+        ts = chain.extract_transient(
+            joint.sparse_joint_chain(g, families.SpinnerFour(0.3, 0.4, 0.15, 0.15),
+                                     joint.standard_rules())
+        )
+        with pytest.raises(GraphTooLarge):
+            chain.expected_rounds(ts, ts.labels[0])
