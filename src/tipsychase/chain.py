@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     Divergent,
@@ -71,8 +70,11 @@ INFINITE = math.inf
 def _is_sparse(a) -> bool:
     """scipy.sparse.issparse(a), without importing scipy.sparse for dense callers.
 
-    Nothing can be a sparse array before scipy.sparse is imported, and
-    the import would add ~15 ms to every fresh ``import tipsychase``.
+    Nothing can be a sparse array before scipy.sparse is imported.  The
+    package imports no scipy module when it is loaded, only where one is
+    first used: scipy.linalg and scipy.sparse together more than double
+    the time of a fresh ``import tipsychase.cli`` (about 0.2 s without
+    them and 0.45-0.5 s with them, on a 2-vCPU machine).
     """
     sparse = sys.modules.get("scipy.sparse")
     return sparse is not None and sparse.issparse(a)
@@ -97,11 +99,14 @@ def _as_matrix(a):
     return arr
 
 
-def check_dense_size(rows: int, cols: int, what: str) -> None:
-    """Raise GraphTooLarge when a dense float64 rows x cols matrix exceeds DENSE_BYTE_CAP."""
-    if rows * cols * 8 > DENSE_BYTE_CAP:
+def check_dense_size(rows: int, cols: int, what: str, itemsize: int = 8) -> None:
+    """Raise GraphTooLarge when a dense rows x cols matrix exceeds DENSE_BYTE_CAP.
+
+    ``itemsize`` is the bytes per entry: 8 for the float64 chain matrices.
+    """
+    if rows * cols * itemsize > DENSE_BYTE_CAP:
         raise GraphTooLarge(
-            f"dense {what} would take {rows * cols * 8 / 1e9:.3g} GB, "
+            f"dense {what} would take {rows * cols * itemsize / 1e9:.3g} GB, "
             f"over the cap of {DENSE_BYTE_CAP / 1e9:.3g} GB"
         )
 
@@ -321,6 +326,8 @@ def _lu_solve(A: np.ndarray, R: np.ndarray):
     A is a Fortran-ordered copy of T that the call owns: it becomes I - T
     in place and LAPACK factors it in place, so one n x n matrix is live.
     """
+    import scipy.linalg  # deferred, like scipy.sparse: see _is_sparse
+
     n = A.shape[0]
     np.subtract(0.0, A, out=A)  # 0 - t, so that I - T keeps +0.0 off the diagonal
     A[np.diag_indices(n)] += 1.0

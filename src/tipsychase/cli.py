@@ -109,24 +109,52 @@ def _need(args, name, flag):
     return value
 
 
-def _static_family_chain(args):
+def _family_builder(args):
+    """The family's hand-built chain as a function of its spinner (``_family_spinner``)."""
     fam = args.family
     if fam == "cycle":
-        return families.cycle_chain(_need(args, "n", "--n"), _spinner3(args))
+        n = _need(args, "n", "--n")
+        return lambda s: families.cycle_chain(n, s)
     if fam == "petersen":
-        return families.petersen_chain(_spinner3(args))
+        return families.petersen_chain
     if fam == "friendship":
-        if args.tc is None or args.tr is None:
-            raise ConfigError("--family friendship needs the 4-way spinner --c --r --tc --tr")
-        return families.friendship_chain(_need(args, "n", "--n"), _spinner4(args))
+        n = _need(args, "n", "--n")
+        return lambda s: families.friendship_chain(n, s)
     if fam == "torus7":
-        return families.toroidal7_chain(_spinner3(args))
+        return families.toroidal7_chain
     if fam == "tree":
-        return families.tree_chain(
-            _need(args, "delta", "--delta"), _need(args, "max_dist", "--max-dist"),
-            _spinner3(args),
-        )
+        delta, call_off = _need(args, "delta", "--delta"), _need(args, "max_dist", "--max-dist")
+        return lambda s: families.tree_chain(delta, call_off, s)
     raise ConfigError(f"unknown family {args.family!r}")
+
+
+def _family_spinner(args):
+    return _spinner4(args) if args.family == "friendship" else _spinner3(args)
+
+
+def _arena(args):
+    """(graph, rules, lumping) of the family's joint game.
+
+    The move-table cap is checked before the lumping labels every pair.
+    """
+    fam = args.family
+    rules, lumping = joint.standard_rules(), joint.distance_lumping
+    if fam == "cycle":
+        g = graphs.cycle_graph(_need(args, "n", "--n"))
+    elif fam == "petersen":
+        g = graphs.petersen_graph()
+    elif fam == "friendship":
+        g, lumping = graphs.friendship_graph(_need(args, "n", "--n")), joint.friendship_lumping
+    elif fam == "torus7":
+        g, rules = graphs.torus_grid(7, 7), joint.torus_rules(7, 7)
+        lumping = lambda g: joint.torus_lumping(g, 7, 7)
+    elif fam == "tree":
+        delta, call_off = _need(args, "delta", "--delta"), _need(args, "max_dist", "--max-dist")
+        g = graphs.truncated_tree(delta, args.depth if args.depth is not None else call_off + 4)
+    else:
+        raise ConfigError("simulate needs --family or --graph-file")
+    joint.check_move_tables(g)
+    return g, rules, lumping(g)
 
 
 def _measure_rows(ts, rounds_list, want_absorption):
@@ -181,7 +209,9 @@ def cmd_analyze(args) -> int:
             chain = _distance_chain(args, split, sched)
             rows = _measure_rows(chain_mod.extract_transient(chain), rounds_list, want_absorption)
     else:
-        chain = _static_family_chain(args)
+        if args.family == "friendship" and (args.tc is None or args.tr is None):
+            raise ConfigError("--family friendship needs the 4-way spinner --c --r --tc --tr")
+        chain = _family_builder(args)(_family_spinner(args))
         rows = _measure_rows(chain_mod.extract_transient(chain), rounds_list, want_absorption)
 
     columns = ["start"] + [f"G{m}" for m in rounds_list] + ["E"]
@@ -211,19 +241,9 @@ def _distance_chain(args, split, sched):
 
 
 def _time_varying_rows(args, split, sched, rounds_list):
-    fam = args.family
-    if fam == "cycle":
-        n = _need(args, "n", "--n")
-        builder = lambda s: families.cycle_chain(n, s)
-    elif fam == "petersen":
-        builder = families.petersen_chain
-    elif fam == "torus7":
-        builder = families.toroidal7_chain
-    elif fam == "tree":
-        delta, nmax = _need(args, "delta", "--delta"), _need(args, "max_dist", "--max-dist")
-        builder = lambda s: families.tree_chain(delta, nmax, s)
-    else:
+    if args.family not in ("cycle", "petersen", "torus7", "tree"):
         raise ConfigError("time schedules apply to --family cycle, petersen, torus7, or tree")
+    builder = _family_builder(args)
     survival = [
         schedules.time_varying_survival_all(builder, split, sched, m) for m in rounds_list
     ]
@@ -272,32 +292,14 @@ def cmd_reproduce_table(args) -> int:
     return 0 if report.ok else 1
 
 
-def _verify_setup(args):
-    fam = args.family
-    if fam == "cycle":
-        n = _need(args, "n", "--n")
-        s = _spinner3(args)
-        g = graphs.cycle_graph(n)
-        return families.cycle_chain(n, s), g, s.as_four(), joint.standard_rules(), joint.distance_lumping(g)
-    if fam == "petersen":
-        s = _spinner3(args)
-        g = graphs.petersen_graph()
-        return families.petersen_chain(s), g, s.as_four(), joint.standard_rules(), joint.distance_lumping(g)
-    if fam == "friendship":
-        n = _need(args, "n", "--n")
-        s4 = _spinner4(args)
-        g = graphs.friendship_graph(n)
-        return families.friendship_chain(n, s4), g, s4, joint.standard_rules(), joint.friendship_lumping(g)
-    if fam == "torus7":
-        s = _spinner3(args)
-        g = graphs.torus_grid(7, 7)
-        return families.toroidal7_chain(s), g, s.as_four(), joint.torus_rules(7, 7), joint.torus_lumping(g, 7, 7)
-    raise ConfigError("verify supports --family cycle, petersen, friendship, torus7")
-
-
 def cmd_verify(args) -> int:
-    hand, g, spinner, rules, lumping = _verify_setup(args)
-    joint_chain = joint.sparse_joint_chain(g, spinner, rules)
+    if args.family not in ("cycle", "petersen", "friendship", "torus7"):
+        raise ConfigError("verify supports --family cycle, petersen, friendship, torus7")
+    build = _family_builder(args)
+    spinner = _family_spinner(args)
+    g, rules, lumping = _arena(args)
+    hand = build(spinner)
+    joint_chain = joint.sparse_joint_chain(g, _spinner4(args), rules)
     try:
         lumped = joint.lump(joint_chain, lumping)
     except NotLumpable as exc:
@@ -313,52 +315,21 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _sim_graph_and_starts(args):
+def cmd_simulate(args) -> int:
+    cop, robber, escape = args.cop, args.robber, None
     if args.graph_file:
         g = graphs.load_edge_list(args.graph_file)
-        if args.cop is None or args.robber is None:
+        if cop is None or robber is None:
             raise ConfigError("--graph-file simulation needs --cop and --robber")
-        return g, args.cop, args.robber, joint.standard_rules(), None
-
-    fam = args.family or ""
-    escape = None
-    if fam == "cycle":
-        g = graphs.cycle_graph(_need(args, "n", "--n"))
-        lumping = joint.distance_lumping(g)
-        rules = joint.standard_rules()
-    elif fam == "petersen":
-        g = graphs.petersen_graph()
-        lumping = joint.distance_lumping(g)
-        rules = joint.standard_rules()
-    elif fam == "friendship":
-        g = graphs.friendship_graph(_need(args, "n", "--n"))
-        lumping = joint.friendship_lumping(g)
-        rules = joint.standard_rules()
-    elif fam == "torus7":
-        g = graphs.torus_grid(7, 7)
-        lumping = joint.torus_lumping(g, 7, 7)
-        rules = joint.torus_rules(7, 7)
-    elif fam == "tree":
-        delta = _need(args, "delta", "--delta")
-        escape = _need(args, "max_dist", "--max-dist")
-        depth = args.depth if args.depth is not None else escape + 4
-        g = graphs.truncated_tree(delta, depth)
-        lumping = joint.distance_lumping(g)
         rules = joint.standard_rules()
     else:
-        raise ConfigError("simulate needs --family or --graph-file")
-
-    if args.cop is not None and args.robber is not None:
-        return g, args.cop, args.robber, rules, escape
-    if args.start is None:
-        raise ConfigError("simulate needs --start (a state label) or --cop/--robber")
-    pair = lumping.representative(args.start)
-    cop, robber = divmod(pair, g.vertex_count)
-    return g, cop, robber, rules, escape
-
-
-def cmd_simulate(args) -> int:
-    g, cop, robber, rules, escape = _sim_graph_and_starts(args)
+        g, rules, lumping = _arena(args)
+        if args.family == "tree":
+            escape = args.max_dist
+        if cop is None or robber is None:
+            if args.start is None:
+                raise ConfigError("simulate needs --start (a state label) or --cop/--robber")
+            cop, robber = divmod(lumping.representative(args.start), g.vertex_count)
     spinner = _spinner4(args)
     cfg = montecarlo.SimConfig(
         graph=g,

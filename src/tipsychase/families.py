@@ -4,6 +4,12 @@ Each builder maps spinner probabilities straight to the closed-form
 transition rows of its family; the exact joint-position chain in
 :mod:`tipsychase.joint` exists to verify these rows entry by entry.
 
+The cycle and tree rows are written once, in ``_cycle`` and ``_tree``,
+as functions of the spinner each distance plays.  ``cycle_chain`` and
+``tree_chain`` pass one spinner for every distance; the distance-varying
+chains of :mod:`tipsychase.schedules` pass a spinner per distance, so a
+static chain is their case of a constant schedule.
+
 State labels follow the conventions used in the bundled reference
 tables ("1cc", "(3,2)", ...) so that output matches them cell for cell.
 """
@@ -81,6 +87,27 @@ def _finish(labels, P, absorbing) -> MarkovChain:
     return built
 
 
+def _cycle(n: int, spinner_at) -> MarkovChain:
+    """Cycle distance chain whose row d plays the spinner ``spinner_at(d)``."""
+    if n < 3:
+        raise InvalidParameter(f"cycle needs n >= 3, got {n}")
+    m = n // 2
+    P = np.zeros((m + 1, m + 1))
+    P[0, 0] = 1.0
+    for d in range(1, m):
+        s = spinner_at(d)
+        P[d, d - 1] = s.c + s.t / 2.0
+        P[d, d + 1] = s.r + s.t / 2.0
+    s = spinner_at(m)
+    if n % 2 == 0:
+        P[m, m - 1] = s.c + s.t
+        P[m, m] = s.r
+    else:
+        P[m, m - 1] = s.c + s.t / 2.0
+        P[m, m] = s.r + s.t / 2.0
+    return _finish([str(d) for d in range(m + 1)], P, {0})
+
+
 def cycle_chain(n: int, s: SpinnerThree) -> MarkovChain:
     """Distance chain on the n-cycle; states 0..floor(n/2), 0 absorbing.
 
@@ -90,21 +117,7 @@ def cycle_chain(n: int, s: SpinnerThree) -> MarkovChain:
     cycle one neighbor preserves the distance and the row is
     [c + t/2, r + t/2].
     """
-    if n < 3:
-        raise InvalidParameter(f"cycle needs n >= 3, got {n}")
-    m = n // 2
-    P = np.zeros((m + 1, m + 1))
-    P[0, 0] = 1.0
-    for d in range(1, m):
-        P[d, d - 1] = s.c + s.t / 2.0
-        P[d, d + 1] = s.r + s.t / 2.0
-    if n % 2 == 0:
-        P[m, m - 1] = s.c + s.t
-        P[m, m] = s.r
-    else:
-        P[m, m - 1] = s.c + s.t / 2.0
-        P[m, m] = s.r + s.t / 2.0
-    return _finish([str(d) for d in range(m + 1)], P, {0})
+    return _cycle(n, lambda d: s)
 
 
 def petersen_chain(s: SpinnerThree) -> MarkovChain:
@@ -189,6 +202,22 @@ def toroidal7_chain(s: SpinnerThree) -> MarkovChain:
     return _finish(TORUS7_LABELS, P, {9})
 
 
+def _tree(degree: int, call_off: int, spinner_at) -> MarkovChain:
+    """Tree distance chain whose row d plays the spinner ``spinner_at(d)``."""
+    if degree < 2:
+        raise InvalidParameter(f"tree degree must be >= 2, got {degree}")
+    if call_off < 2:
+        raise InvalidParameter(f"call-off distance must be >= 2, got {call_off}")
+    P = np.zeros((call_off + 1, call_off + 1))
+    P[0, 0] = 1.0
+    P[call_off, call_off] = 1.0
+    for d in range(1, call_off):
+        s = spinner_at(d)
+        P[d, d - 1] = s.c + s.t / degree
+        P[d, d + 1] = s.r + s.t * (degree - 1) / degree
+    return _finish([str(d) for d in range(call_off + 1)], P, {0, call_off})
+
+
 def tree_chain(degree: int, call_off: int, s: SpinnerThree) -> MarkovChain:
     """Birth-death chain for the game on the infinite regular tree.
 
@@ -196,16 +225,4 @@ def tree_chain(degree: int, call_off: int, s: SpinnerThree) -> MarkovChain:
     1 - p = c + t/degree; the chase is abandoned at distance
     ``call_off``, giving the second absorbing state.
     """
-    if degree < 2:
-        raise InvalidParameter(f"tree degree must be >= 2, got {degree}")
-    if call_off < 2:
-        raise InvalidParameter(f"call-off distance must be >= 2, got {call_off}")
-    up = s.t * (degree - 1) / degree + s.r
-    down = s.c + s.t / degree
-    P = np.zeros((call_off + 1, call_off + 1))
-    P[0, 0] = 1.0
-    P[call_off, call_off] = 1.0
-    for d in range(1, call_off):
-        P[d, d - 1] = down
-        P[d, d + 1] = up
-    return _finish([str(d) for d in range(call_off + 1)], P, {0, call_off})
+    return _tree(degree, call_off, lambda d: s)

@@ -3,7 +3,11 @@
 Vertices are dense integers ``0..V-1``.  All-pairs shortest-path hop
 counts are filled at construction by one breadth-first search per
 vertex; every graph in scope is small, so the O(V*E) cost is irrelevant
-next to having distances available as a plain array lookup.
+next to having distances available as a plain array lookup.  A graph
+whose V x V int32 distance table would exceed ``chain.DENSE_BYTE_CAP``
+(more than 11,585 vertices) is refused with GraphTooLarge before
+anything is allocated; the family generators check the vertex count
+their arguments imply before they list a single edge.
 
 Family generators use a fixed, documented vertex labeling so that state
 names in downstream output stay stable:
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import chain as chain_mod
 from .errors import DisconnectedGraph, InvalidEdge, InvalidParameter
 
 UNREACHED = -1
@@ -66,6 +71,11 @@ def _bfs_row(neighbors, source, out):
                 queue.append(w)
 
 
+def _check_size(vertex_count: int) -> None:
+    """Raise GraphTooLarge when the V x V int32 distance table exceeds the dense cap."""
+    chain_mod.check_dense_size(vertex_count, vertex_count, "distance table", itemsize=4)
+
+
 def build_graph(vertex_count: int, edges) -> Graph:
     """Validate an edge list and construct the graph.
 
@@ -75,6 +85,7 @@ def build_graph(vertex_count: int, edges) -> Graph:
     """
     if vertex_count < 1:
         raise InvalidParameter(f"vertex_count must be >= 1, got {vertex_count}")
+    _check_size(vertex_count)
     seen = set()
     canonical = []
     for u, v in edges:
@@ -112,6 +123,7 @@ def build_graph(vertex_count: int, edges) -> Graph:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InvalidParameter(f"cycle needs n >= 3, got {n}")
+    _check_size(n)
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -126,6 +138,7 @@ def friendship_graph(n: int) -> Graph:
     """``n`` triangles sharing the hub vertex 0."""
     if n < 1:
         raise InvalidParameter(f"friendship graph needs n >= 1, got {n}")
+    _check_size(2 * n + 1)
     edges = []
     for k in range(n):
         a, b = 2 * k + 1, 2 * k + 2
@@ -137,6 +150,7 @@ def torus_grid(m: int, n: int) -> Graph:
     """Cartesian product of an m-cycle and an n-cycle, row-major labels."""
     if m < 3 or n < 3:
         raise InvalidParameter(f"torus needs m, n >= 3, got ({m}, {n})")
+    _check_size(m * n)
     edges = set()
     for i in range(m):
         for j in range(n):
@@ -144,6 +158,17 @@ def torus_grid(m: int, n: int) -> Graph:
             edges.add(tuple(sorted((v, ((i + 1) % m) * n + j))))
             edges.add(tuple(sorted((v, i * n + (j + 1) % n))))
     return build_graph(m * n, sorted(edges))
+
+
+def _tree_size(degree: int, depth: int) -> int:
+    """Vertex count of ``truncated_tree(degree, depth)``.
+
+    Depths past 64 count as 64, which keeps the power small: at that
+    depth a tree of degree 3 or more already has over 2**64 vertices.
+    """
+    if degree == 2:
+        return 2 * depth + 1
+    return 1 + degree * ((degree - 1) ** min(depth, 64) - 1) // (degree - 2)
 
 
 def truncated_tree(degree: int, depth: int) -> Graph:
@@ -157,6 +182,7 @@ def truncated_tree(degree: int, depth: int) -> Graph:
         raise InvalidParameter(f"tree degree must be >= 2, got {degree}")
     if depth < 1:
         raise InvalidParameter(f"tree depth must be >= 1, got {depth}")
+    _check_size(_tree_size(degree, depth))
     edges = []
     frontier = [0]
     next_vertex = 1

@@ -244,15 +244,21 @@ def _generic_move_tables(g: Graph, rules: StrategyRules, maxdeg):
     return cop_tab, cop_cnt, rob_tab, rob_cnt
 
 
-def _move_tables(g: Graph, rules: StrategyRules):
-    """Dense per-pair sober-move tables plus padded neighbor lists."""
+def check_move_tables(g: Graph) -> None:
+    """Raise InvalidParameter when g's move tables would exceed PAIR_TABLE_CAP entries."""
     V = g.vertex_count
-    nbr, deg, maxdeg = _padded_neighbors(g)
+    maxdeg = max(map(len, g.neighbors))
     if V * V * maxdeg > PAIR_TABLE_CAP:
         raise InvalidParameter(
             f"graph too large for the (cop, robber) move tables "
             f"({V} vertices, max degree {maxdeg})"
         )
+
+
+def _move_tables(g: Graph, rules: StrategyRules):
+    """Dense per-pair sober-move tables plus padded neighbor lists."""
+    check_move_tables(g)
+    nbr, deg, maxdeg = _padded_neighbors(g)
     build = _hop_move_tables if rules.hop_based else _generic_move_tables
     cop_tab, cop_cnt, rob_tab, rob_cnt = build(g, rules, maxdeg)
     return nbr, deg, cop_tab, cop_cnt, rob_tab, rob_cnt

@@ -129,30 +129,20 @@ def _run_batch(cfg: SimConfig, tables, lo: int, hi: int, rounds_out, outcome_out
             new_cop = ca.copy()
             new_rob = ra.copy()
 
-            mask = category == 0  # sober cop
-            if mask.any():
-                p, u = pair[mask], u_move[mask]
-                cnt = cop_cnt[p]
-                pick = np.minimum((u * cnt).astype(np.int64), cnt - 1)
-                new_cop[mask] = cop_tab[p, pick]
-            mask = category == 1  # sober robber
-            if mask.any():
-                p, u = pair[mask], u_move[mask]
-                cnt = rob_cnt[p]
-                pick = np.minimum((u * cnt).astype(np.int64), cnt - 1)
-                new_rob[mask] = rob_tab[p, pick]
-            mask = category == 2  # tipsy cop
-            if mask.any():
-                v, u = ca[mask], u_move[mask]
-                cnt = deg[v]
-                pick = np.minimum((u * cnt).astype(np.int64), cnt - 1)
-                new_cop[mask] = nbr[v, pick]
-            mask = category == 3  # tipsy robber
-            if mask.any():
-                v, u = ra[mask], u_move[mask]
-                cnt = deg[v]
-                pick = np.minimum((u * cnt).astype(np.int64), cnt - 1)
-                new_rob[mask] = nbr[v, pick]
+            # (targets, counts, row per trial, player moved), in threshold order:
+            # sober cop, sober robber, tipsy cop, tipsy robber
+            for k, (tab, cnt, at, moved) in enumerate((
+                (cop_tab, cop_cnt, pair, new_cop),
+                (rob_tab, rob_cnt, pair, new_rob),
+                (nbr, deg, ca, new_cop),
+                (nbr, deg, ra, new_rob),
+            )):
+                mask = category == k
+                if mask.any():
+                    p = at[mask]
+                    n = cnt[p]
+                    pick = np.minimum((u_move[mask] * n).astype(np.int64), n - 1)
+                    moved[mask] = tab[p, pick]
 
             cop[alive] = new_cop
             rob[alive] = new_rob

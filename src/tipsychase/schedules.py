@@ -16,7 +16,9 @@ no closed form, so it is summed with an explicit stopping rule (see
 
 Distance-varying: state d of a cycle or tree chain plays with
 t_d = delta(d); the chain itself is static, so the ordinary matrix
-machinery applies once the rows are assembled.
+machinery applies once the rows are assembled.  The rows are the ones
+:mod:`tipsychase.families` writes for the static chains, which are the
+case of a constant delta.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 from . import chain as chain_mod
 from .chain import INFINITE, MarkovChain
+from . import families
 from .errors import InvalidParameter, ScheduleOutOfRange
 from .families import SpinnerThree
 
@@ -321,22 +324,8 @@ def distance_cycle_chain(
         raise InvalidParameter(f"boundary must be 'matrix' or 'tables', got {boundary!r}")
     sched.warn_if_nonstandard()
     m = n // 2
-    P = np.zeros((m + 1, m + 1))
-    P[0, 0] = 1.0
-    for d in range(1, m):
-        s = split.spinner(sched.at(d))
-        P[d, d - 1] = s.c + s.t / 2.0
-        P[d, d + 1] = s.r + s.t / 2.0
-    s = split.spinner(sched.at(m if boundary == "matrix" or m == 1 else m - 1))
-    if n % 2 == 0:
-        P[m, m - 1] = s.c + s.t
-        P[m, m] = s.r
-    else:
-        P[m, m - 1] = s.c + s.t / 2.0
-        P[m, m] = s.r + s.t / 2.0
-    built = MarkovChain(tuple(str(d) for d in range(m + 1)), P, frozenset({0}))
-    chain_mod.validate(built)
-    return built
+    last = m if boundary == "matrix" or m == 1 else m - 1
+    return families._cycle(n, lambda d: split.spinner(sched.at(min(d, last))))
 
 
 def distance_tree_chain(
@@ -348,18 +337,7 @@ def distance_tree_chain(
     if call_off < 2:
         raise InvalidParameter(f"call-off distance must be >= 2, got {call_off}")
     sched.warn_if_nonstandard()
-    P = np.zeros((call_off + 1, call_off + 1))
-    P[0, 0] = 1.0
-    P[call_off, call_off] = 1.0
-    for d in range(1, call_off):
-        s = split.spinner(sched.at(d))
-        P[d, d - 1] = s.c + s.t / degree
-        P[d, d + 1] = s.r + s.t * (degree - 1) / degree
-    built = MarkovChain(
-        tuple(str(d) for d in range(call_off + 1)), P, frozenset({0, call_off})
-    )
-    chain_mod.validate(built)
-    return built
+    return families._tree(degree, call_off, lambda d: split.spinner(sched.at(d)))
 
 
 _ARG_COUNTS = {"hyper": 2, "exp2": 2, "linear": 0, "exp12": 1}

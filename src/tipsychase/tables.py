@@ -163,43 +163,38 @@ def _by_params(cells):
     return groups
 
 
-def _compute_cycle52(cells):
-    out = {}
-    for params, group in _by_params(cells).items():
-        r = group[0].param("r")
-        chain = families.cycle_chain(6, families.SpinnerThree(c=0.5 - r, r=r, t=0.5))
-        out.update(_static_measures(chain, group))
-    return out
+def _per_params(build):
+    """Compute function of a static table: ``build(cell)`` makes the chain of the
+    cell's parameter set, once per set, and every cell of the set reads it."""
+
+    def compute(cells):
+        out = {}
+        for group in _by_params(cells).values():
+            out.update(_static_measures(build(group[0]), group))
+        return out
+
+    return compute
 
 
-def _compute_petersen61(cells):
-    out = {}
-    for params, group in _by_params(cells).items():
-        r = group[0].param("r")
-        chain = families.petersen_chain(families.SpinnerThree(c=0.5 - r, r=r, t=0.5))
-        out.update(_static_measures(chain, group))
-    return out
+def _half_tipsy(cell):
+    r = cell.param("r")
+    return families.SpinnerThree(c=0.5 - r, r=r, t=0.5)
 
 
-def _compute_friendship71(cells):
-    out = {}
-    for params, group in _by_params(cells).items():
-        tr, tc = group[0].param("tr"), group[0].param("tc")
-        spinner = families.SpinnerFour(c=0.5 - tc, r=0.5 - tr, t_c=tc, t_r=tr)
-        out.update(_static_measures(families.friendship_chain(5, spinner), group))
-    return out
+def _friendship_spinner(cell):
+    tr, tc = cell.param("tr"), cell.param("tc")
+    return families.SpinnerFour(c=0.5 - tc, r=0.5 - tr, t_c=tc, t_r=tr)
 
 
-def _compute_torus81(cells):
-    chain = families.toroidal7_chain(families.SpinnerThree(c=0.3, r=0.4, t=0.3))
-    return _static_measures(chain, cells)
+def _split(cell):
+    return schedules.SoberSplit(cell.param("share"))
 
 
 def _compute_time(cells, schedule):
     builder = lambda s: families.cycle_chain(6, s)
     out = {}
     for group in _by_params(cells).values():
-        split = schedules.SoberSplit(group[0].param("share"))
+        split = _split(group[0])
         survival, expectation = {}, {}  # rounds / term count -> label -> result
         for cell in group:
             if cell.measure == "G":
@@ -215,24 +210,6 @@ def _compute_time(cells, schedule):
                         builder, split, schedule, tol=1e-10, n_max=n_max
                     )
                 out[cell.key] = expectation[n_max][cell.start].value
-    return out
-
-
-def _compute_dist_cycle(cells, schedule):
-    out = {}
-    for params, group in _by_params(cells).items():
-        split = schedules.SoberSplit(group[0].param("share"))
-        chain = schedules.distance_cycle_chain(10, split, schedule, boundary="tables")
-        out.update(_static_measures(chain, group))
-    return out
-
-
-def _compute_dist_tree(cells, schedule):
-    out = {}
-    for params, group in _by_params(cells).items():
-        split = schedules.SoberSplit(group[0].param("share"))
-        chain = schedules.distance_tree_chain(4, 10, split, schedule)
-        out.update(_static_measures(chain, group))
     return out
 
 
@@ -283,12 +260,12 @@ TABLES: dict[str, TableSpec] = {
     ),
     "cycle5.2": TableSpec(
         "6-cycle, t=0.5: survival after 7 rounds and expected length",
-        _compute_cycle52,
+        _per_params(lambda cell: families.cycle_chain(6, _half_tipsy(cell))),
         _tol_split(0.005, 0.005),
     ),
     "petersen6.1": TableSpec(
         "Petersen graph, t=0.5: survival after 7 rounds and expected length",
-        _compute_petersen61,
+        _per_params(lambda cell: families.petersen_chain(_half_tipsy(cell))),
         _tol_split(0.005, 0.005),
         notes=(
             "E,1 at r=0.5: printed 40, but the chain solves exactly to 36 "
@@ -298,12 +275,12 @@ TABLES: dict[str, TableSpec] = {
     ),
     "friendship7.1": TableSpec(
         "Friendship graph, 5 triangles: survival after 10 rounds and expected length",
-        _compute_friendship71,
+        _per_params(lambda cell: families.friendship_chain(5, _friendship_spinner(cell))),
         _tol_friendship,
     ),
     "torus8.1": TableSpec(
         "7x7 torus, c=0.3 r=0.4 t=0.3: survival after 50 rounds and expected length",
-        _compute_torus81,
+        _per_params(lambda cell: families.toroidal7_chain(families.SpinnerThree(0.3, 0.4, 0.3))),
         _tol_abs(0.01),
         notes=(
             "E,(3,2): printed 95.95 contradicts the one-step balance at (3,3), "
@@ -325,7 +302,9 @@ TABLES: dict[str, TableSpec] = {
     ),
     "dist10.3a": TableSpec(
         "10-cycle, tipsiness linear in distance",
-        lambda cells: _compute_dist_cycle(cells, schedules.DistanceSchedule.linear(5)),
+        _per_params(lambda cell: schedules.distance_cycle_chain(
+            10, _split(cell), schedules.DistanceSchedule.linear(5), boundary="tables"
+        )),
         _tol_last_digit,
         notes=(
             "Reference run evaluated the boundary row's tipsiness at distance "
@@ -336,7 +315,9 @@ TABLES: dict[str, TableSpec] = {
     ),
     "dist10.3b": TableSpec(
         "10-cycle, tipsiness exponential in distance (base 1.2)",
-        lambda cells: _compute_dist_cycle(cells, schedules.DistanceSchedule.exponential()),
+        _per_params(lambda cell: schedules.distance_cycle_chain(
+            10, _split(cell), schedules.DistanceSchedule.exponential(), boundary="tables"
+        )),
         _tol_last_digit,
         notes=(
             "Same boundary-row convention as dist10.3a (boundary='tables').",
@@ -344,14 +325,16 @@ TABLES: dict[str, TableSpec] = {
     ),
     "tree10.4a": TableSpec(
         "Regular tree, degree 4, call-off 10, tipsiness linear in distance",
-        lambda cells: _compute_dist_tree(cells, schedules.DistanceSchedule.linear(10)),
+        _per_params(lambda cell: schedules.distance_tree_chain(
+            4, 10, _split(cell), schedules.DistanceSchedule.linear(10)
+        )),
         _tol_last_digit,
     ),
     "tree10.4b": TableSpec(
         "Regular tree, degree 4, call-off 10, tipsiness exponential in distance",
-        lambda cells: _compute_dist_tree(
-            cells, schedules.DistanceSchedule.exponential(base=2.0)
-        ),
+        _per_params(lambda cell: schedules.distance_tree_chain(
+            4, 10, _split(cell), schedules.DistanceSchedule.exponential(base=2.0)
+        )),
         _tol_last_digit,
         notes=(
             "The stated ramp base (1.2) reproduces no column of this table; "

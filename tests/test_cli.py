@@ -2,10 +2,13 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from tipsychase import cli
+from tipsychase import cli, graphs, joint
 
 
 def run_cli(argv, capsys):
@@ -270,6 +273,90 @@ class TestSimulate:
         )
         assert code == 2
         assert "--start" in err
+
+
+    def test_move_table_cap_refuses_before_lumping(self, capsys, monkeypatch):
+        # a 3,070-vertex arena: V^2 * max degree is 28 M table entries, over the cap
+        def no_lumping(g):
+            raise AssertionError("lumping built before the move-table check")
+
+        monkeypatch.setattr(joint, "distance_lumping", no_lumping)
+        code, out, err = run_cli(
+            ["simulate", "--family", "tree", "--delta", "3", "--max-dist", "6", "--c", ".3",
+             "--r", ".4", "--t", ".3", "--start", "1", "--trials", "10"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == ("error: InvalidParameter: graph too large for the (cop, robber) "
+                       "move tables (3070 vertices, max degree 3)\n")
+
+    def test_oversized_arena_refused_by_arithmetic(self, capsys, monkeypatch):
+        # truncated_tree(6, 10) would have 14,648,437 vertices; failing the
+        # generator's range() loop keeps a regression from building it
+        def no_loop(*args):
+            raise AssertionError("tree built before the size check")
+
+        monkeypatch.setattr(graphs, "range", no_loop, raising=False)
+        code, out, err = run_cli(
+            ["simulate", "--family", "tree", "--delta", "6", "--max-dist", "6", "--c", ".3",
+             "--r", ".4", "--t", ".3", "--start", "1", "--trials", "10"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: GraphTooLarge: dense distance table")
+        assert err.count("\n") == 1
+
+
+SPIN3 = ["--c", "0.3", "--r", "0.4", "--t", "0.3"]
+SPIN4 = ["--c", "0.3", "--r", "0.4", "--tc", "0.15", "--tr", "0.15"]
+TIME = ["--schedule", "hyper", "--robber-share", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["analyze", "--family", "cycle", *SPIN3], "--family cycle needs --n"),
+        (["verify", "--family", "cycle", *SPIN3], "--family cycle needs --n"),
+        (["simulate", "--family", "cycle", *SPIN3, "--start", "1"], "--family cycle needs --n"),
+        (["analyze", "--family", "friendship", *SPIN4], "--family friendship needs --n"),
+        (["verify", "--family", "friendship", *SPIN3], "--family friendship needs --n"),
+        (["analyze", "--family", "friendship", "--n", "5", *SPIN3],
+         "--family friendship needs the 4-way spinner --c --r --tc --tr"),
+        (["verify", "--family", "tree", "--delta", "3", "--max-dist", "5", *SPIN3],
+         "verify supports --family cycle, petersen, friendship, torus7"),
+        (["verify", *SPIN3], "verify supports --family cycle, petersen, friendship, torus7"),
+        (["analyze", "--family", "friendship", "--n", "5", *TIME],
+         "time schedules apply to --family cycle, petersen, torus7, or tree"),
+        (["analyze", *TIME], "time schedules apply to --family cycle, petersen, torus7, or tree"),
+        (["analyze", *SPIN3], "unknown family None"),
+        (["simulate", *SPIN3, "--start", "1"], "simulate needs --family or --graph-file"),
+        (["analyze", "--family", "tree", *SPIN3], "--family tree needs --delta"),
+        (["analyze", "--family", "tree", *TIME], "--family tree needs --delta"),
+        (["simulate", "--family", "tree", *SPIN3, "--start", "1"], "--family tree needs --delta"),
+        (["analyze", "--family", "tree", "--delta", "3", *SPIN3],
+         "--family tree needs --max-dist"),
+        (["simulate", "--family", "tree", "--delta", "3", *SPIN3, "--start", "1"],
+         "--family tree needs --max-dist"),
+        # not a refusal: the 3-way spinner's tipsy mass is split evenly, as for the joint chain
+        (["verify", "--family", "friendship", "--n", "3", *SPIN3], None),
+    ],
+)
+def test_family_dispatch_refusals(capsys, argv, message):
+    code, out, err = run_cli(argv, capsys)
+    if message is None:
+        assert (code, err) == (0, "")
+        assert out.startswith(f"family={argv[2]} ") and out.endswith("-> ok\n")
+    else:
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_cli_import_loads_no_scipy_module():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import tipsychase.cli; "
+             "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert done.stdout == "[]\n"
 
 
 class TestClosedForm:

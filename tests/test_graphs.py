@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from tipsychase import graphs
-from tipsychase.errors import DisconnectedGraph, InvalidEdge, InvalidParameter
+from tipsychase import chain, graphs
+from tipsychase.errors import DisconnectedGraph, GraphTooLarge, InvalidEdge, InvalidParameter
 
 
 def test_single_edge_distance_table():
@@ -164,3 +164,44 @@ def test_distance_table_immutable():
     g = graphs.cycle_graph(4)
     with pytest.raises(ValueError):
         g.distance[0, 1] = 5
+
+
+def test_distance_table_cap_in_vertices():
+    # the V x V int32 distance table fits DENSE_BYTE_CAP up to 11,585 vertices
+    assert 4 * 11_585**2 <= chain.DENSE_BYTE_CAP < 4 * 11_586**2
+
+
+def test_tree_size_counts_truncated_tree():
+    for degree, depth in ((2, 4), (3, 3), (4, 2), (5, 3)):
+        tree = graphs.truncated_tree(degree, depth)
+        assert graphs._tree_size(degree, depth) == tree.vertex_count
+    assert graphs._tree_size(6, 10) == 14_648_437
+
+
+def _untouched_edges():
+    raise AssertionError("edges read before the size check")
+    yield
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: graphs.build_graph(11_586, _untouched_edges()),
+        lambda: graphs.cycle_graph(10**9),
+        lambda: graphs.friendship_graph(5_793),  # 11,587 vertices
+        lambda: graphs.torus_grid(10**5, 10**5),
+        lambda: graphs.truncated_tree(6, 10),
+        lambda: graphs.truncated_tree(3, 10**9),
+        lambda: graphs.truncated_tree(2, 10**9),
+    ],
+    ids=["build_graph", "cycle", "friendship", "torus", "tree6x10", "tree_deep", "path_deep"],
+)
+def test_oversized_graphs_refused_before_allocating(monkeypatch, build):
+    # Every generator lists its edges in a range() loop; failing that loop
+    # keeps a regression from allocating the graph it should refuse.
+    def no_loop(*args):
+        raise AssertionError("edge list started before the size check")
+
+    monkeypatch.setattr(graphs, "range", no_loop, raising=False)
+    with pytest.raises(GraphTooLarge, match="distance table"):
+        build()

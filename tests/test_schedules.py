@@ -191,11 +191,15 @@ class TestDistanceCycleChain:
             t0 = float(rng.uniform(0.0, 0.9))
             share = float(rng.uniform(0, 1))
             const = schedules.DistanceSchedule(lambda d: t0, "const")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                dyn = schedules.distance_cycle_chain(10, schedules.SoberSplit(share), const)
-            static = families.cycle_chain(10, families.SpinnerThree.from_split(t0, share))
-            np.testing.assert_allclose(dyn.P, static.P, atol=1e-12)
+            for n in (10, 9, 3):
+                static = families.cycle_chain(n, families.SpinnerThree.from_split(t0, share))
+                for boundary in ("matrix", "tables"):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        dyn = schedules.distance_cycle_chain(
+                            n, schedules.SoberSplit(share), const, boundary
+                        )
+                    np.testing.assert_array_equal(dyn.P, static.P)
 
     def test_odd_cycle_boundary(self):
         lin = schedules.DistanceSchedule.linear(4)
@@ -249,11 +253,16 @@ class TestDistanceTreeChain:
             t0 = float(rng.uniform(0.0, 0.9))
             share = float(rng.uniform(0, 1))
             const = schedules.DistanceSchedule(lambda d: t0, "const")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                dyn = schedules.distance_tree_chain(4, 8, schedules.SoberSplit(share), const)
-            static = families.tree_chain(4, 8, families.SpinnerThree.from_split(t0, share))
-            np.testing.assert_allclose(dyn.P, static.P, atol=1e-12)
+            for degree, call_off in ((4, 8), (3, 5), (2, 2)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    dyn = schedules.distance_tree_chain(
+                        degree, call_off, schedules.SoberSplit(share), const
+                    )
+                static = families.tree_chain(
+                    degree, call_off, families.SpinnerThree.from_split(t0, share)
+                )
+                np.testing.assert_array_equal(dyn.P, static.P)
 
     def test_validates_across_shares(self):
         for sched in (
