@@ -24,19 +24,18 @@ Assembly
 --------
 The joint chain and the simulator share one move layer,
 ``_move_tables``: per ordered pair, the sober cop's and the sober
-robber's targets, plus every vertex's neighbour list for tipsy moves.
-P is assembled from those tables in COO form, one block per spinner
-outcome with a positive weight, plus identity rows for captures.
-``sparse_joint_chain`` keeps it as a CSR array (a joint chain is about
-0.1% non-zero: 51,921 entries of the 9x9 torus's 6,561^2), and
-``build_joint_chain`` is the dense view of the same entries, equal bit
-for bit to adding the four move distributions row by row.
+robber's targets (hop rules only, each uniform over its targets), plus
+every vertex's neighbour list for tipsy moves.  ``StrategyRules``'s
+``cop_move`` / ``robber_move`` give the same moves one pair at a time,
+as the reference the tables are tested against.  P is assembled from
+the tables in COO form, one block per spinner outcome with a positive
+weight, plus identity rows for captures.  ``sparse_joint_chain`` keeps
+it as a CSR array (a joint chain is about 0.1% non-zero: 51,921 entries
+of the 9x9 torus's 6,561^2), and ``build_joint_chain`` is its dense view.
 
-Because they are tables, every move distribution must be uniform over
-its targets, as the simulator also requires; every rule set here is.
-Hop-based rules are tabulated with array operations; any other rule
-set by calling its ``cop_move`` / ``robber_move`` once per pair, and a
-non-uniform distribution is refused with InvalidParameter.
+A partition of the pairs is an integer array over them: entry
+``pair_index(g, cop, robber)`` indexes that pair's class in the
+lumping's ``class_order``.
 """
 
 from __future__ import annotations
@@ -61,71 +60,59 @@ PAIR_TABLE_CAP = 8_000_000  # entries; guards the dense (cop, robber) move table
 
 @dataclass(frozen=True)
 class StrategyRules:
-    """Sober move distributions given (graph, cop, robber).
+    """The sober move rules above, with an optional secondary tie-break key.
 
-    ``hop_based`` marks rules of the standard shape (optimize hop
-    distance, refine ties with ``tie_break``, split uniformly);
-    ``_move_tables`` exploits that structure to tabulate them with array
-    operations instead of per-pair calls.  Tipsy moves are always a
-    uniformly random neighbour.
+    ``tie_break(g, mover, other)`` ranks a mover's hop-optimal candidates
+    against the other player's vertex.  It must accept broadcast integer
+    index arrays as well as single vertices and return keys of their
+    broadcast shape: the move tables call it once, with a column of
+    movers against a row of others.  Tipsy moves are always a uniformly
+    random neighbour.
     """
 
-    cop_move: Callable[[Graph, int, int], MoveDistribution]
-    robber_move: Callable[[Graph, int, int], MoveDistribution]
-    hop_based: bool = False
     tie_break: TieBreak | None = None
 
+    def _choose(self, g: Graph, mover: int, other: int, pick) -> MoveDistribution:
+        """Uniform over the mover's neighbours that ``pick`` (min or max)
+        prefers by hop distance to ``other``, then by the tie-break key."""
+        keep = list(g.neighbors[mover])
+        keys = [lambda v: g.distance[other, v]]
+        if self.tie_break is not None:
+            keys.append(lambda v: self.tie_break(g, v, other))
+        for key in keys:
+            best = pick(key(v) for v in keep)
+            keep = [v for v in keep if key(v) == best]
+        return {v: 1.0 / len(keep) for v in keep}
 
-def _uniform(targets) -> MoveDistribution:
-    share = 1.0 / len(targets)
-    return {v: share for v in targets}
+    def cop_move(self, g: Graph, cop: int, robber: int) -> MoveDistribution:
+        """The sober cop's move distribution at one pair."""
+        return self._choose(g, cop, robber, min)
 
-
-def _refine(g: Graph, candidates, other: int, tie_break: TieBreak | None, pick_max: bool):
-    if tie_break is None or len(candidates) == 1:
-        return candidates
-    keys = [tie_break(g, v, other) for v in candidates]
-    best = max(keys) if pick_max else min(keys)
-    return [v for v, k in zip(candidates, keys) if k == best]
+    def robber_move(self, g: Graph, cop: int, robber: int) -> MoveDistribution:
+        """The sober robber's move distribution at one pair."""
+        dist = g.distance[cop]
+        if all(dist[v] < dist[robber] for v in g.neighbors[robber]):
+            return {robber: 1.0}
+        return self._choose(g, robber, cop, max)
 
 
 def standard_rules(tie_break: TieBreak | None = None) -> StrategyRules:
     """The move rules above, with an optional secondary tie-break key."""
-
-    def cop_move(g: Graph, cop: int, robber: int) -> MoveDistribution:
-        dist = g.distance[robber]
-        best = min(dist[v] for v in g.neighbors[cop])
-        keep = [v for v in g.neighbors[cop] if dist[v] == best]
-        return _uniform(_refine(g, keep, robber, tie_break, pick_max=False))
-
-    def robber_move(g: Graph, cop: int, robber: int) -> MoveDistribution:
-        dist = g.distance[cop]
-        here = dist[robber]
-        if all(dist[v] < here for v in g.neighbors[robber]):
-            return {robber: 1.0}
-        best = max(dist[v] for v in g.neighbors[robber])
-        keep = [v for v in g.neighbors[robber] if dist[v] == best]
-        return _uniform(_refine(g, keep, cop, tie_break, pick_max=True))
-
-    return StrategyRules(
-        cop_move=cop_move,
-        robber_move=robber_move,
-        hop_based=True,
-        tie_break=tie_break,
-    )
+    return StrategyRules(tie_break)
 
 
-def _axis_gaps(m: int, n: int, u: int, v: int) -> tuple[int, int]:
-    du = abs(u // n - v // n)
-    dv = abs(u % n - v % n)
-    return min(du, m - du), min(dv, n - dv)
+def _axis_gaps(m: int, n: int, u, v):
+    """Per-axis gaps between vertices u and v of an m x n torus (ints or arrays)."""
+    du = np.abs(u // n - v // n)
+    dv = np.abs(u % n - v % n)
+    return np.minimum(du, m - du), np.minimum(dv, n - dv)
 
 
 def torus_rules(m: int, n: int) -> StrategyRules:
     """Rules for an m x n torus: break hop-distance ties on the larger axis gap."""
 
-    def widest_gap(g: Graph, mover: int, other: int) -> float:
-        return float(max(_axis_gaps(m, n, mover, other)))
+    def widest_gap(g: Graph, mover, other):
+        return np.maximum(*_axis_gaps(m, n, mover, other))
 
     return standard_rules(tie_break=widest_gap)
 
@@ -135,18 +122,6 @@ def pair_index(g: Graph, cop: int, robber: int) -> int:
 
 
 # ------------------------------------------------------------ move tables
-
-
-def _uniform_targets(dist: dict[int, float], where: str):
-    """Targets of an equal-weight distribution (the only kind the tables hold)."""
-    targets = sorted(dist)
-    share = 1.0 / len(targets)
-    for v in targets:
-        if abs(dist[v] - share) > 1e-12:
-            raise InvalidParameter(
-                f"{where}: move tables support uniform move distributions only"
-            )
-    return targets
 
 
 def _padded_neighbors(g: Graph):
@@ -162,14 +137,13 @@ def _padded_neighbors(g: Graph):
 
 
 def _tie_key_matrix(g: Graph, rules: StrategyRules):
+    """key[v, w] = tie_break(g, v, w), from one call on broadcast index arrays."""
     if rules.tie_break is None:
         return None
     V = g.vertex_count
-    key = np.empty((V, V))
-    for v in range(V):
-        for w in range(V):
-            key[v, w] = rules.tie_break(g, v, w)
-    return key
+    v = np.arange(V)
+    key = rules.tie_break(g, v[:, None], v[None, :])
+    return np.broadcast_to(np.asarray(key, dtype=float), (V, V))
 
 
 def _pack_mask(rows, mask, tab, cnt, vertex_ids):
@@ -223,27 +197,6 @@ def _hop_move_tables(g: Graph, rules: StrategyRules, maxdeg):
     return cop_tab, cop_cnt, rob_tab, rob_cnt
 
 
-def _generic_move_tables(g: Graph, rules: StrategyRules, maxdeg):
-    """Fallback tables built by calling the rule functions pair by pair."""
-    V = g.vertex_count
-    cop_tab = np.zeros((V * V, maxdeg), dtype=np.int32)
-    cop_cnt = np.zeros(V * V, dtype=np.int32)
-    rob_tab = np.zeros((V * V, maxdeg + 1), dtype=np.int32)
-    rob_cnt = np.zeros(V * V, dtype=np.int32)
-    for cop in range(V):
-        for robber in range(V):
-            if cop == robber:
-                continue
-            pair = cop * V + robber
-            targets = _uniform_targets(rules.cop_move(g, cop, robber), "cop_move")
-            cop_cnt[pair] = len(targets)
-            cop_tab[pair, : len(targets)] = targets
-            targets = _uniform_targets(rules.robber_move(g, cop, robber), "robber_move")
-            rob_cnt[pair] = len(targets)
-            rob_tab[pair, : len(targets)] = targets
-    return cop_tab, cop_cnt, rob_tab, rob_cnt
-
-
 def check_move_tables(g: Graph) -> None:
     """Raise InvalidParameter when g's move tables would exceed PAIR_TABLE_CAP entries."""
     V = g.vertex_count
@@ -259,9 +212,7 @@ def _move_tables(g: Graph, rules: StrategyRules):
     """Dense per-pair sober-move tables plus padded neighbor lists."""
     check_move_tables(g)
     nbr, deg, maxdeg = _padded_neighbors(g)
-    build = _hop_move_tables if rules.hop_based else _generic_move_tables
-    cop_tab, cop_cnt, rob_tab, rob_cnt = build(g, rules, maxdeg)
-    return nbr, deg, cop_tab, cop_cnt, rob_tab, rob_cnt
+    return (nbr, deg, *_hop_move_tables(g, rules, maxdeg))
 
 
 # ------------------------------------------------------------ joint chain
@@ -340,39 +291,48 @@ def build_joint_chain(
 ) -> MarkovChain:
     """Dense view of ``sparse_joint_chain``, with the same states and entries.
 
-    Refuses with GraphTooLarge, before allocating, when the dense P
+    Refuses with GraphTooLarge, before assembling, when the dense P
     would exceed ``chain.DENSE_BYTE_CAP``.
     """
     n_states = _joint_states(g, state_cap)
     chain_mod.check_dense_size(n_states, n_states, "joint chain P")
-    labels, (vals, (rows, cols)), absorbing = _assemble(g, s, rules)
-    P = np.zeros((n_states, n_states))
-    np.add.at(P, (rows, cols), vals)
-    built = MarkovChain(labels, P, absorbing)
-    chain_mod.validate(built)
-    return built
+    sparse = sparse_joint_chain(g, s, rules, state_cap)
+    return MarkovChain(sparse.state_labels, sparse.P.toarray(), sparse.absorbing)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lumping:
-    """Assignment of every joint state to a class label.
+    """Assignment of every joint state to a class.
 
-    ``class_order`` fixes the state order of the lumped chain so it can
-    be compared against a hand-built chain directly; capture states all
-    belong to class "0".
+    ``class_of[pair_index(g, cop, robber)]`` is the index into
+    ``class_order`` of that pair's class, held as a read-only integer
+    array.  ``class_order`` fixes the state order of the lumped chain so
+    it can be compared against a hand-built chain directly; capture
+    states all belong to class "0".
     """
 
     class_order: tuple[str, ...]
-    class_of: tuple[str, ...]
+    class_of: np.ndarray
 
-    def members(self, label: str) -> list[int]:
-        return [i for i, lab in enumerate(self.class_of) if lab == label]
+    def __post_init__(self):
+        class_of = np.asarray(self.class_of).view()
+        if class_of.dtype.kind not in "iu":
+            raise InvalidParameter(f"class_of holds {class_of.dtype}, not class indices")
+        class_of.flags.writeable = False
+        object.__setattr__(self, "class_of", class_of)
+
+    def members(self, label: str) -> np.ndarray:
+        """Indices of the states in class ``label``, ascending."""
+        if label not in self.class_order:
+            return np.empty(0, dtype=np.intp)
+        return np.flatnonzero(self.class_of == self.class_order.index(label))
 
     def representative(self, label: str) -> int:
-        for i, lab in enumerate(self.class_of):
-            if lab == label:
-                return i
-        raise InvalidParameter(f"no state in class {label!r}")
+        """The first state of class ``label`` in pair order."""
+        members = self.members(label)
+        if not members.size:
+            raise InvalidParameter(f"no state in class {label!r}")
+        return int(members[0])
 
 
 def lump(chain_joint: MarkovChain, lumping: Lumping) -> MarkovChain:
@@ -384,32 +344,31 @@ def lump(chain_joint: MarkovChain, lumping: Lumping) -> MarkovChain:
     offender.
     """
     n = chain_joint.n_states
-    if len(lumping.class_of) != n:
+    class_of = lumping.class_of
+    if class_of.shape != (n,):
         raise InvalidParameter("lumping does not cover every joint state")
-    order = {label: k for k, label in enumerate(lumping.class_order)}
-    missing = set(lumping.class_of) - set(order)
-    if missing:
-        raise InvalidParameter(f"classes {sorted(missing)} missing from class_order")
     K = len(lumping.class_order)
+    if n and (class_of.min() < 0 or class_of.max() >= K):
+        raise InvalidParameter("class index out of range")
 
-    indicator = np.zeros((n, K))
-    for i, label in enumerate(lumping.class_of):
-        indicator[i, order[label]] = 1.0
-    aggregated = chain_joint.P @ indicator
+    aggregated = chain_joint.P @ np.eye(K)[class_of]
+    absorbing_state = np.zeros(n, dtype=bool)
+    absorbing_state[list(chain_joint.absorbing)] = True
 
     P_lumped = np.zeros((K, K))
     absorbing = set()
-    for label, k in order.items():
-        members = lumping.members(label)
-        if not members:
+    for k, label in enumerate(lumping.class_order):
+        members = np.flatnonzero(class_of == k)
+        if not members.size:
             raise InvalidParameter(f"class {label!r} has no members")
         rows = aggregated[members]
         spread = np.abs(rows - rows[0]).max(axis=1)
         worst = int(np.argmax(spread))
         if spread[worst] > LUMP_TOL:
-            raise NotLumpable(label, (members[0], members[worst]), float(spread[worst]))
+            pair = int(members[0]), int(members[worst])
+            raise NotLumpable(label, pair, float(spread[worst]))
         P_lumped[k] = rows[0]
-        if all(i in chain_joint.absorbing for i in members):
+        if absorbing_state[members].all():
             absorbing.add(k)
 
     built = MarkovChain(tuple(lumping.class_order), P_lumped, frozenset(absorbing))
@@ -419,50 +378,32 @@ def lump(chain_joint: MarkovChain, lumping: Lumping) -> MarkovChain:
 
 def distance_lumping(g: Graph) -> Lumping:
     """Classes are plain hop distances: "0" (capture) up to the diameter."""
-    V = g.vertex_count
-    classes = [str(d) for d in range(g.diameter + 1)]
-    labels = []
-    for cop in range(V):
-        for robber in range(V):
-            labels.append(str(int(g.distance[cop, robber])))
-    return Lumping(tuple(classes), tuple(labels))
+    classes = tuple(str(d) for d in range(g.diameter + 1))
+    return Lumping(classes, g.distance.ravel())
 
 
 def friendship_lumping(g: Graph) -> Lumping:
     """Classes 2 / 1cc / 1rc / 1e / 0 on a friendship graph (hub = 0)."""
     V = g.vertex_count
-    labels = []
-    for cop in range(V):
-        for robber in range(V):
-            if cop == robber:
-                labels.append("0")
-            elif g.distance[cop, robber] == 2:
-                labels.append("2")
-            elif cop == 0:
-                labels.append("1cc")
-            elif robber == 0:
-                labels.append("1rc")
-            else:
-                labels.append("1e")
-    return Lumping(("2", "1cc", "1rc", "1e", "0"), tuple(labels))
+    cop, robber = np.divmod(np.arange(V * V), V)
+    class_of = np.select(
+        [cop == robber, g.distance.ravel() == 2, cop == 0, robber == 0], [4, 0, 1, 2], 3
+    )
+    return Lumping(("2", "1cc", "1rc", "1e", "0"), class_of)
 
 
 def torus_lumping(g: Graph, m: int, n: int) -> Lumping:
-    """Classes are sorted per-axis gaps "(a,b)" with a >= b; capture is "0"."""
+    """Classes are sorted per-axis gaps "(a,b)" with a >= b; capture is "0".
+
+    Classes run from the largest gap down; capture, the only pair whose
+    gaps are both 0, comes last.
+    """
     if g.vertex_count != m * n:
         raise InvalidParameter(f"graph has {g.vertex_count} vertices, torus wants {m * n}")
-    labels = []
-    seen = set()
-    for cop in range(m * n):
-        for robber in range(m * n):
-            if cop == robber:
-                labels.append("0")
-                continue
-            a, b = _axis_gaps(m, n, cop, robber)
-            label = f"({max(a, b)},{min(a, b)})"
-            labels.append(label)
-            seen.add(label)
-    ordered = sorted(
-        seen, key=lambda lab: tuple(-int(x) for x in lab.strip("()").split(","))
-    )
-    return Lumping(tuple(ordered + ["0"]), tuple(labels))
+    v = np.arange(m * n)
+    a, b = _axis_gaps(m, n, v[:, None], v[None, :])
+    base = max(m, n)
+    gaps, index = np.unique((np.maximum(a, b) * base + np.minimum(a, b)).ravel(),
+                            return_inverse=True)
+    order = [f"({hi},{lo})" for hi, lo in zip(*np.divmod(gaps[:0:-1], base))]
+    return Lumping((*order, "0"), len(gaps) - 1 - index)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import check_dense_size
 from .errors import InvalidParameter, InvalidStart
 from .families import SpinnerFour
 from .graphs import Graph
@@ -169,7 +170,12 @@ def _run_batch(cfg: SimConfig, tables, lo: int, hi: int, rounds_out, outcome_out
 
 
 def run(cfg: SimConfig) -> SimReport:
-    """Run all trials and reduce them (in trial order) into a SimReport."""
+    """Run all trials and reduce them (in trial order) into a SimReport.
+
+    Refuses with GraphTooLarge, before tabulating moves, a trial count
+    or round cap whose result arrays (8 bytes an entry, one per trial or
+    per round) would exceed ``chain.DENSE_BYTE_CAP``.
+    """
     if cfg.trials < 1:
         raise InvalidParameter(f"trials must be >= 1, got {cfg.trials}")
     if cfg.max_rounds < 1:
@@ -184,6 +190,8 @@ def run(cfg: SimConfig) -> SimReport:
             raise InvalidParameter("escape_distance must be >= 1")
         if cfg.graph.distance[cfg.cop_start, cfg.robber_start] >= cfg.escape_distance:
             raise InvalidStart("start positions already at or past the escape distance")
+    check_dense_size(cfg.trials, 1, "per-trial rounds")
+    check_dense_size(cfg.max_rounds + 2, 1, "survival curve")
 
     tables = _move_tables(cfg.graph, cfg.rules)
     rounds = np.zeros(cfg.trials, dtype=np.int64)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import chain as chain_mod
-from . import closedform, families, schedules
+from . import families, schedules
 from .errors import UnknownTable
 
 TOL_SLACK = 1e-9  # absorbs float noise when a diff sits exactly on the tolerance
@@ -128,6 +128,7 @@ def _load_cells(table_id: str) -> list[Cell]:
 
 
 def _static_measures(chain, cells):
+    """G, E, and the absorption shares R (at the last absorbing state) and C (at "0")."""
     ts = chain_mod.extract_transient(chain)
     survival = {}  # rounds -> G over every start
     out = {}
@@ -138,21 +139,11 @@ def _static_measures(chain, cells):
             out[cell.key] = float(survival[cell.rounds][ts.index(cell.start)])
         elif cell.measure == "E":
             out[cell.key] = chain_mod.expected_rounds(ts, cell.start).value
+        elif cell.measure in ("R", "C"):
+            split = chain_mod.absorption_split(ts, cell.start)
+            out[cell.key] = split[ts.absorbing_labels[-1] if cell.measure == "R" else "0"]
         else:
             raise ValueError(f"unsupported measure {cell.measure!r}")
-    return out
-
-
-def _compute_tree31(cells):
-    spinner = families.SpinnerThree(c=0.3, r=0.4, t=0.3)
-    ts = chain_mod.extract_transient(families.tree_chain(4, 10, spinner))
-    out = {}
-    for cell in cells:
-        if cell.measure == "E":
-            out[cell.key] = chain_mod.expected_rounds(ts, cell.start).value
-        else:
-            split = chain_mod.absorption_split(ts, cell.start)
-            out[cell.key] = split["10"] if cell.measure == "R" else split["0"]
     return out
 
 
@@ -255,7 +246,7 @@ class TableSpec:
 TABLES: dict[str, TableSpec] = {
     "tree3.1": TableSpec(
         "Regular tree, degree 4, call-off 10: E/R/C at c=0.3 r=0.4 t=0.3",
-        _compute_tree31,
+        _per_params(lambda cell: families.tree_chain(4, 10, families.SpinnerThree(0.3, 0.4, 0.3))),
         _tol_tree31,
     ),
     "cycle5.2": TableSpec(

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tipsychase import cli, graphs, joint
+from tipsychase import chain, cli, graphs, joint, montecarlo
 
 
 def run_cli(argv, capsys):
@@ -305,6 +305,32 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert err.startswith("error: GraphTooLarge: dense distance table")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag,what", [("--trials", "per-trial rounds"),
+                                           ("--max-rounds", "survival curve")])
+    def test_result_arrays_refused_by_arithmetic(self, capsys, monkeypatch, flag, what):
+        # 10^9 trials or rounds ask for 8 GB result arrays; failing the move
+        # tables keeps a regression from starting the run
+        assert (10**9 + 2) * 8 > chain.DENSE_BYTE_CAP
+
+        def no_tables(*args):
+            raise AssertionError("move tables built before the size check")
+
+        monkeypatch.setattr(montecarlo, "_move_tables", no_tables)
+        code, out, err = run_cli(
+            ["simulate", "--family", "petersen", *SPIN3, "--start", "1", flag, "1000000000"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: GraphTooLarge: dense {what} would take 8 GB")
+        assert err.count("\n") == 1
+
+    def test_unknown_start_class(self, capsys):
+        code, out, err = run_cli(
+            ["simulate", "--family", "petersen", *SPIN3, "--start", "7", "--trials", "10"],
+            capsys,
+        )
+        assert (code, out, err) == (2, "", "error: InvalidParameter: no state in class '7'\n")
 
 
 SPIN3 = ["--c", "0.3", "--r", "0.4", "--t", "0.3"]

@@ -160,7 +160,7 @@ class TestLumping:
         c = joint.build_joint_chain(g, s.as_four(), joint.standard_rules())
         good = joint.distance_lumping(g)
         # merge distances 1 and 2: not exact
-        merged = tuple("1" if lab == "2" else lab for lab in good.class_of)
+        merged = np.array([0, 1, 1, 2])[good.class_of]
         bad = joint.Lumping(("0", "1", "3"), merged)
         with pytest.raises(NotLumpable):
             joint.lump(c, bad)
@@ -169,8 +169,8 @@ class TestLumping:
         g = graphs.cycle_graph(4)
         s = families.SpinnerThree(c=0.3, r=0.3, t=0.4)
         c = joint.build_joint_chain(g, s.as_four(), joint.standard_rules())
-        with pytest.raises(InvalidParameter):
-            joint.lump(c, joint.Lumping(("0",), ("0",) * 4))
+        with pytest.raises(InvalidParameter, match="does not cover"):
+            joint.lump(c, joint.Lumping(("0",), np.zeros(4, dtype=int)))
 
     def test_representative(self):
         g = graphs.friendship_graph(3)
@@ -178,6 +178,61 @@ class TestLumping:
         pair = lumping.representative("1rc")
         cop, robber = divmod(pair, g.vertex_count)
         assert robber == 0 and cop != 0
+
+
+def _torus_label(m, n, cop, robber):
+    du, dv = abs(cop // n - robber // n), abs(cop % n - robber % n)
+    a, b = min(du, m - du), min(dv, n - dv)
+    return f"({max(a, b)},{min(a, b)})"
+
+
+def _friendship_label(g, cop, robber):
+    if g.distance[cop, robber] == 2:
+        return "2"
+    return "1cc" if cop == 0 else "1rc" if robber == 0 else "1e"
+
+
+LUMPING_CASES = [
+    *[(f"cycle{n}", lambda n=n: graphs.cycle_graph(n), joint.distance_lumping,
+       lambda g, c, r: str(g.distance[c, r])) for n in range(3, 14)],
+    ("petersen", graphs.petersen_graph, joint.distance_lumping,
+     lambda g, c, r: str(g.distance[c, r])),
+    *[(f"friendship{n}", lambda n=n: graphs.friendship_graph(n), joint.friendship_lumping,
+       _friendship_label) for n in range(1, 7)],
+    *[(f"torus{m}x{n}", lambda m=m, n=n: graphs.torus_grid(m, n),
+       lambda g, m=m, n=n: joint.torus_lumping(g, m, n),
+       lambda g, c, r, m=m, n=n: _torus_label(m, n, c, r)) for m, n in ((4, 6), (5, 8))],
+    ("tree3_4", lambda: graphs.truncated_tree(3, 4), joint.distance_lumping,
+     lambda g, c, r: str(g.distance[c, r])),
+]
+
+
+@pytest.mark.parametrize("name,make_graph,make_lumping,label",
+                         LUMPING_CASES, ids=[case[0] for case in LUMPING_CASES])
+def test_lumping_matches_per_pair_labels(name, make_graph, make_lumping, label):
+    # each hand lumping against a plain labelling written pair by pair
+    g = make_graph()
+    V = g.vertex_count
+    want = [label(g, c, r) if c != r else "0" for c in range(V) for r in range(V)]
+    lumping = make_lumping(g)
+    assert not lumping.class_of.flags.writeable
+    got = np.asarray(lumping.class_order, dtype=object)[lumping.class_of]
+    assert got.tolist() == want
+    with pytest.raises(InvalidParameter, match="not class indices"):
+        joint.Lumping(lumping.class_order, tuple(want))
+    for cls in lumping.class_order:  # the first pair in row-major order
+        if cls in want:
+            assert lumping.representative(cls) == want.index(cls)
+        else:  # "2" on the one-triangle friendship graph
+            with pytest.raises(InvalidParameter, match=f"no state in class '{cls}'"):
+                lumping.representative(cls)
+    c = joint.sparse_joint_chain(g, families.SpinnerFour(0.25, 0.25, 0.25, 0.25),
+                                 joint.standard_rules())
+    for bad in (-1, len(lumping.class_order)):
+        class_of = lumping.class_of.copy()
+        class_of[V] = bad
+        with pytest.raises(InvalidParameter, match="class index out of range"):
+            joint.lump(c, joint.Lumping(lumping.class_order, class_of))
 
 
 class TestTipsyEquivalence:

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -180,6 +178,28 @@ class TestReportShape:
             montecarlo.run(config(graph=g, robber_start=5, escape_distance=2))
 
 
+def _reference_tables(g, rules, maxdeg):
+    """The sober move tables, pair by pair from ``rules.cop_move`` / ``robber_move``."""
+    V = g.vertex_count
+    cop_tab = np.zeros((V * V, maxdeg), dtype=np.int32)
+    cop_cnt = np.zeros(V * V, dtype=np.int32)
+    rob_tab = np.zeros((V * V, maxdeg + 1), dtype=np.int32)
+    rob_cnt = np.zeros(V * V, dtype=np.int32)
+    for cop in range(V):
+        for robber in range(V):
+            if cop == robber:
+                continue
+            pair = cop * V + robber
+            for move, tab, cnt in ((rules.cop_move, cop_tab, cop_cnt),
+                                   (rules.robber_move, rob_tab, rob_cnt)):
+                dist = move(g, cop, robber)
+                targets = sorted(dist)
+                assert all(p == 1.0 / len(targets) for p in dist.values())
+                cnt[pair] = len(targets)
+                tab[pair, : len(targets)] = targets
+    return cop_tab, cop_cnt, rob_tab, rob_cnt
+
+
 def test_move_tables_fast_path_matches_generic(rng):
     for g, rules in [
         (graphs.torus_grid(7, 7), joint.torus_rules(7, 7)),
@@ -189,7 +209,11 @@ def test_move_tables_fast_path_matches_generic(rng):
     ]:
         V = g.vertex_count
         fast = montecarlo._move_tables(g, rules)
-        generic = montecarlo._move_tables(g, dataclasses.replace(rules, hop_based=False))
+        nbr, deg = fast[:2]
+        maxdeg = nbr.shape[1]
+        generic = (nbr, deg, *_reference_tables(g, rules, maxdeg))
+        assert deg.tolist() == [len(ns) for ns in g.neighbors]
+        assert all(nbr[v, : deg[v]].tolist() == list(g.neighbors[v]) for v in range(V))
         off_diag = np.array([c * V + r for c in range(V) for r in range(V) if c != r])
         for a, b in zip(fast, generic):
             if a.shape[0] == V * V:
