@@ -44,7 +44,6 @@ from .graphs import (
     build_graph,
     cycle_graph,
     friendship_graph,
-    generate_family,
     load_edge_list,
     parse_edge_list,
     petersen_graph,

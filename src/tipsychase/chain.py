@@ -17,12 +17,13 @@ The family chains behind the bundled tables are dense with at most 13
 states.  Exact joint chains are sparse CSR arrays with thousands of
 states (6,561 on the 9x9 torus, of which 0.1% of P is non-zero; dense,
 P would take 344 MB).  Survival is taken by repeated mat-vecs on
-either.  A dense (I - T) is solved by LU with partial pivoting; a
-sparse one first has divergence decided from its structure, then is
-solved by BiCGSTAB under an explicit residual check, falling back to
-dense LU when that check fails (see ``_sparse_solve``).  That fallback
-and the dense joint-chain builder refuse, before allocating, any dense
-matrix above DENSE_BYTE_CAP.
+either.  One rule decides divergence on both (``_fundamental_solve``):
+E is infinite when some transient state cannot reach an exit, and
+otherwise it is solved (dense LU, or BiCGSTAB then dense LU) and kept
+only when max|x - T x - 1| <= RESIDUAL_TOL; a chain that drains but
+fails that check has E beyond float64 and reads infinite with its own
+note.  The dense fallback and the dense joint-chain builder refuse,
+before allocating, any dense matrix above DENSE_BYTE_CAP.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -50,13 +50,11 @@ if TYPE_CHECKING:
     import scipy.sparse
 
 ROW_SUM_TOL = 1e-9
-ABSORPTION_TOL = 1e-9
-PIVOT_TOL = 1e-12
-# A sparse solve is accepted when max|(I - T) x - b| <= RESIDUAL_TOL * max|b|.
-# With b = 1 this bounds the relative error of every expected time:
+# A solve is accepted when its residual r = 1 - (I - T) x has max|r| <= RESIDUAL_TOL.
+# This bounds the relative error of every expected time:
 # (I - T)^-1 >= 0 entrywise, so |x - x*| <= (I - T)^-1 |r| <= max|r| * x*.
 RESIDUAL_TOL = 1e-10
-KRYLOV_TOL = 1e-12  # BiCGSTAB's target for ||r||_2 / max|b|, under RESIDUAL_TOL
+KRYLOV_TOL = 1e-12  # BiCGSTAB's target for ||r||_2, under RESIDUAL_TOL
 KRYLOV_MAXITER = 1000
 # Largest dense matrix any chain operation allocates: 512 MiB holds the
 # 9x9 torus's 6,561-state P (344 MB), not a 40,000-state one (12.8 GB).
@@ -180,8 +178,13 @@ class TransientSystem:
         return i
 
     @functools.cached_property
+    def _drained(self) -> bool:
+        """``_drains(self)``, kept: the solve and the condition note both read it."""
+        return _drains(self)
+
+    @functools.cached_property
     def solution(self):
-        """(expected, absorb) for every start, or None when I - T is singular.
+        """(expected, absorb) for every start, or None when E reads infinite.
 
         See ``_fundamental_solve``; the arrays are read-only, since every
         caller shares them.  ``absorb`` is None when a sparse solve left
@@ -191,7 +194,7 @@ class TransientSystem:
 
     @functools.cached_property
     def absorb_split(self):
-        """(I - T)^-1 R, one row per start, or None when I - T is singular.
+        """(I - T)^-1 R, one row per start, or None when E reads infinite.
 
         Taken from ``solution`` when that holds it; a sparse solve leaves
         it out, and it is then solved here on first use, by the dense LU
@@ -307,39 +310,79 @@ def survival_probability(ts: TransientSystem, d, rounds: int) -> float:
 
 
 def _fundamental_solve(ts: TransientSystem):
-    """Solve (I - T) X = [1 | R]: by LU when T is dense, else ``_sparse_solve``.
+    """Solve (I - T) X = [1 | R] under the one divergence rule, or return None.
 
-    Returns (expected, absorb) where ``expected`` is the vector of
-    expected absorption times and ``absorb`` the matrix of absorption
-    probabilities per retained absorbing state (None when a sparse solve
-    left it out), or None when the chain has a transient part that never
-    drains.
+    Structure first: None unless every state drains (``_drains``).  Then
+    a dense T by ``_lu_solve``, a sparse one by ``_krylov`` and else the
+    dense-LU fallback; each returns None unless ``_accepts`` its answer.
+    Returns (expected, absorb), with ``absorb`` None when ``_krylov``
+    solved only for the expected times.
     """
-    if _is_sparse(ts.T):
-        return _sparse_solve(ts)
-    return _lu_solve(np.array(ts.T, order="F"), ts.R)
+    if not ts._drained:
+        return None
+    if not _is_sparse(ts.T):
+        return _lu_solve(ts, np.array(ts.T, order="F"))
+    expected = _krylov(ts)
+    if expected is None:
+        return _dense_lu_solve(ts)
+    expected.flags.writeable = False
+    return expected, None
 
 
-def _lu_solve(A: np.ndarray, R: np.ndarray):
-    """LU-solve (I - T) X = [1 | R]; None when a pivot falls below PIVOT_TOL * max|I - T|.
+def _drains(ts: TransientSystem) -> bool:
+    """Whether every transient state reaches an exit along the support of T.
+
+    An exit is a state with a non-zero entry in R.  The set of states
+    that reach one grows by one boolean mat-vec on T != 0 per step, and
+    the test stops as soon as it stops growing.  Dense and CSR T alike,
+    without scipy.  By Kemeny & Snell, I - T is invertible exactly when
+    every state drains.
+    """
+    support = ts.T != 0
+    reached = abs(ts.R).sum(axis=1) > 0
+    count = np.count_nonzero(reached)
+    while count < ts.n_transient:
+        reached = reached | (support @ reached)
+        grown = np.count_nonzero(reached)
+        if grown == count:
+            return False
+        count = grown
+    return True
+
+
+def _accepts(ts: TransientSystem, x: np.ndarray) -> bool:
+    """Whether max|x - T x - 1| <= RESIDUAL_TOL, the one check on every solve.
+
+    It is evaluated in np.longdouble (64-bit mantissa on x86-64): in
+    float64 its own rounding, about eps * max|x|, let solves of random
+    chains with E above 1e6 pass while off by up to 27%.  NaN or inf,
+    from an exactly zero pivot, fails it.
+    """
+    x = x.astype(np.longdouble)
+    with np.errstate(invalid="ignore", over="ignore"):
+        residual = np.abs(x - ts.T @ x - 1.0).max()
+    return bool(residual <= RESIDUAL_TOL)
+
+
+def _lu_solve(ts: TransientSystem, A: np.ndarray):
+    """LU-solve (I - T) X = [1 | R], or None unless ``_accepts`` its first column.
 
     A is a Fortran-ordered copy of T that the call owns: it becomes I - T
     in place and LAPACK factors it in place, so one n x n matrix is live.
     """
-    import scipy.linalg  # deferred, like scipy.sparse: see _is_sparse
+    # deferred, like scipy.sparse (see _is_sparse); the raw LAPACK calls
+    # skip 18 us of wrapper per 13-state solve over scipy.linalg.lu_factor
+    from scipy.linalg.lapack import dgetrf, dgetrs
 
     n = A.shape[0]
     np.subtract(0.0, A, out=A)  # 0 - t, so that I - T keeps +0.0 off the diagonal
     A[np.diag_indices(n)] += 1.0
-    threshold = PIVOT_TOL * max(A.max(), -A.min(), 1.0)
-    with warnings.catch_warnings():
-        # exactly singular chains are an expected code path (divergent games)
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A, overwrite_a=True, check_finite=False)
-    if np.abs(np.diag(lu)).min() < threshold:
+    lu, piv, _ = dgetrf(A, overwrite_a=True)
+    R = ts.R.toarray() if _is_sparse(ts.R) else ts.R
+    # an exactly zero pivot makes inf or NaN here, which _accepts refuses
+    sol, _ = dgetrs(lu, piv, np.column_stack([np.ones(n), R]))
+    if not _accepts(ts, sol[:, 0]):
         return None
-    rhs = np.column_stack([np.ones(n), R])
-    sol = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
     sol.flags.writeable = False
     return sol[:, 0], sol[:, 1:]
 
@@ -347,104 +390,50 @@ def _lu_solve(A: np.ndarray, R: np.ndarray):
 def _dense_lu_solve(ts: TransientSystem):
     """``_lu_solve`` on a sparse system's dense copy, within DENSE_BYTE_CAP."""
     check_dense_size(ts.n_transient, ts.n_transient, "fallback solve of I - T")
-    return _lu_solve(ts.T.toarray(order="F"), ts.R.toarray())
+    return _lu_solve(ts, ts.T.toarray(order="F"))
 
 
-def _drains(ts: TransientSystem) -> bool:
-    """Whether every transient state reaches an exit along the support of T.
-
-    An exit is a state with a non-zero entry in R.  The test is a
-    breadth-first search from a virtual root linked to every exit, over
-    the reversed non-zero entries of T (Tarjan 1972 on the same graph
-    would give the closed classes themselves).
-    """
-    from scipy.sparse import csgraph, csr_array
-
-    n = ts.n_transient
-    T = ts.T.tocoo()
-    edge = T.data != 0
-    exits = np.flatnonzero(abs(ts.R).sum(axis=1) > 0)
-    rows = np.concatenate([T.col[edge], np.full(exits.size, n)])
-    cols = np.concatenate([T.row[edge], exits])
-    graph = csr_array((np.ones(rows.size), (rows, cols)), shape=(n + 1, n + 1))
-    reached = csgraph.breadth_first_order(graph, n, directed=True, return_predecessors=False)
-    return reached.size == n + 1
-
-
-def _krylov(A, b: np.ndarray):
-    """BiCGSTAB solve of A x = b, or None unless max|A x - b| <= RESIDUAL_TOL * max|b|."""
+def _krylov(ts: TransientSystem):
+    """BiCGSTAB solve of (I - T) x = 1 on a sparse T, or None unless ``_accepts`` x."""
+    from scipy.sparse import eye_array
     from scipy.sparse.linalg import bicgstab
 
-    scale = float(np.abs(b).max())
-    x, _ = bicgstab(A, b, rtol=0.0, atol=KRYLOV_TOL * scale, maxiter=KRYLOV_MAXITER)
-    residual = np.abs(A @ x - b).max()
-    if not residual <= RESIDUAL_TOL * scale:  # also refuses a NaN from a breakdown
-        return None
-    return x
-
-
-def _sparse_solve(ts: TransientSystem):
-    """Expected rounds on a sparse T, in three steps.
-
-    1. Divergence is decided from structure: when some transient state
-       cannot reach an exit (``_drains``), the result is None, as for an
-       exactly singular dense system.
-    2. Otherwise every state drains, so absorption is certain and only
-       (I - T) x = 1 is solved, by BiCGSTAB, accepted under the residual
-       check of ``_krylov``.  ``absorb`` is left None; ``absorb_split``
-       solves it if asked.
-    3. When the check fails (BiCGSTAB breaks down or stalls on a nearly
-       singular chain), the system is solved as a dense one, so such a
-       chain reads exactly as it does dense.
-    """
-    from scipy.sparse import eye_array
-
-    if not _drains(ts):
-        return None
     A = (eye_array(ts.n_transient) - ts.T).tocsr()
-    expected = _krylov(A, np.ones(ts.n_transient))
-    if expected is None:
-        return _dense_lu_solve(ts)
-    expected.flags.writeable = False
-    return expected, None
+    x, _ = bicgstab(A, np.ones(ts.n_transient), rtol=0.0, atol=KRYLOV_TOL,
+                    maxiter=KRYLOV_MAXITER)
+    return x if _accepts(ts, x) else None
+
+
+def _divergence_note(ts: TransientSystem) -> str:
+    """Why ``ts.solution`` is None: a state that never drains, or E beyond float64."""
+    if not ts._drained:
+        return "some transient state never reaches an exit, so I - T is singular"
+    return f"E is beyond float64: no solve met max|x - T x - 1| <= {RESIDUAL_TOL:g}"
 
 
 def expected_rounds(ts: TransientSystem, d) -> ExpectationResult:
     """Expected number of rounds until absorption starting from d.
 
-    Reports INFINITE when (I - T) is singular (decided from the support
-    of T on a sparse system, from the LU pivots on a dense one) or when
-    the total absorption probability from d falls short of one; a finite
-    answer would be meaningless in either case.
+    INFINITE, with a ``condition_note`` saying which, when some state
+    never drains or when no solve resolves E (see ``_fundamental_solve``).
     """
     i = ts.index(d)
     solved = ts.solution
     if solved is None:
-        return ExpectationResult(INFINITE, "I - T is numerically singular")
-    expected, absorb = solved
-    if absorb is not None:  # None: a sparse solve found that every state drains
-        total = float(absorb[i].sum()) if absorb.shape[1] else 0.0
-        if total < 1.0 - ABSORPTION_TOL:
-            return ExpectationResult(
-                INFINITE, f"absorption probability from start is {total:.6g} < 1"
-            )
-    return ExpectationResult(float(expected[i]))
+        return ExpectationResult(INFINITE, _divergence_note(ts))
+    return ExpectationResult(float(solved[0][i]))
 
 
 def absorption_split(ts: TransientSystem, d) -> dict[str, float]:
     """Absorption probability per absorbing state, starting from d.
 
-    Raises Divergent (carrying the partial masses) when absorption is
-    not certain.
+    Raises Divergent, with ``expected_rounds``'s condition note, when no
+    accepted solve holds the split.
     """
     i = ts.index(d)
     if ts.R.shape[1] == 0:
         raise InvalidParameter("chain retains no absorbing states")
     absorb = ts.absorb_split
     if absorb is None:
-        raise Divergent(None, 0.0)
-    masses = {lab: float(absorb[i, k]) for k, lab in enumerate(ts.absorbing_labels)}
-    total = sum(masses.values())
-    if total < 1.0 - ABSORPTION_TOL:
-        raise Divergent(masses, total)
-    return masses
+        raise Divergent(_divergence_note(ts))
+    return {lab: float(absorb[i, k]) for k, lab in enumerate(ts.absorbing_labels)}

@@ -41,6 +41,15 @@ def _fmt(value, digits):
     return str(value)
 
 
+def _json_value(value):
+    """A cell as RFC 8259 JSON allows it: infinity as its text, NaN as null."""
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    if isinstance(value, float) and math.isinf(value):
+        return INFINITE_TEXT
+    return value
+
+
 def emit(columns, rows, fmt, digits, out=None):
     """Render rows (dicts keyed by column name) as table, CSV, or JSON."""
     out = out or sys.stdout
@@ -60,13 +69,9 @@ def emit(columns, rows, fmt, digits, out=None):
     elif fmt == "json":
         payload = {
             "columns": list(columns),
-            "rows": [
-                {c: (_fmt(v, None) if isinstance(v, float) and math.isinf(v) else v)
-                 for c, v in ((c, r.get(c)) for c in columns)}
-                for r in rows
-            ],
+            "rows": [{c: _json_value(r.get(c)) for c in columns} for r in rows],
         }
-        out.write(json.dumps(payload, indent=2) + "\n")
+        out.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     else:
         raise ConfigError(f"unknown format {fmt!r}")
 

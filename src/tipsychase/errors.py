@@ -44,17 +44,11 @@ class InvalidState(GameModelError):
 
 
 class Divergent(GameModelError):
-    """Absorption from the requested start state is not certain.
+    """Absorption probabilities are asked for where E reads infinite.
 
-    Carries the partial absorption masses that were computed; they sum
-    to less than one (or could not be computed at all when the linear
-    system is singular).
+    Either some transient state never reaches an exit, or no solve
+    resolves the chain in float64; the message says which.
     """
-
-    def __init__(self, masses: dict | None, total: float):
-        self.masses = masses
-        self.total = total
-        super().__init__(f"absorption probability {total:.6g} < 1")
 
 
 class NotLumpable(GameModelError):

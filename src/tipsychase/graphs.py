@@ -198,33 +198,6 @@ def truncated_tree(degree: int, depth: int) -> Graph:
     return build_graph(next_vertex, edges)
 
 
-_FAMILIES = {
-    "cycle": (cycle_graph, ("n",)),
-    "petersen": (petersen_graph, ()),
-    "friendship": (friendship_graph, ("n",)),
-    "torus": (torus_grid, ("m", "n")),
-    "tree_truncated": (truncated_tree, ("degree", "depth")),
-}
-
-
-def generate_family(kind: str, **params) -> Graph:
-    """Dispatch to a family generator by name.
-
-    Known kinds: cycle(n), petersen, friendship(n), torus(m, n),
-    tree_truncated(degree, depth).
-    """
-    if kind not in _FAMILIES:
-        raise InvalidParameter(f"unknown graph family {kind!r}")
-    fn, wanted = _FAMILIES[kind]
-    missing = [w for w in wanted if w not in params]
-    extra = [p for p in params if p not in wanted]
-    if missing or extra:
-        raise InvalidParameter(
-            f"family {kind!r} takes parameters {wanted}, got {sorted(params)}"
-        )
-    return fn(**params)
-
-
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain-text edge-list format.
 

@@ -149,19 +149,12 @@ class SeriesResult:
 def _limit_profile(builder: ChainBuilder, split: SoberSplit, sched: TimeSchedule):
     """Expected-remaining-rounds vector of the limiting chain, or None.
 
-    None means the limiting chain does not absorb from every state, so
-    the series cannot converge (the classic case: the whole sober mass
-    on the robber, who then flees forever once sobered up).
+    None where the limiting chain's E reads infinite, so the series
+    cannot converge (the classic case: the whole sober mass on the
+    robber, who then flees forever once sobered up).
     """
-    ts = chain_mod.extract_transient(builder(split.spinner(sched.limit)))
-    solved = ts.solution
-    if solved is None:
-        return None
-    expected, absorb = solved
-    totals = absorb.sum(axis=1) if absorb.shape[1] else np.zeros(ts.n_transient)
-    if (totals < 1.0 - chain_mod.ABSORPTION_TOL).any():
-        return None
-    return expected
+    solved = chain_mod.extract_transient(builder(split.spinner(sched.limit))).solution
+    return None if solved is None else solved[0]
 
 
 def _series(builder, split, sched, start, rounds=0, tol=None, n_max=0):

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,3 +398,105 @@ class TestSolveCache:
         assert np.array_equal(c.P.toarray(), dense.P)
         assert np.array_equal(ts.solution[0], before)
         assert ts.absorb_split.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-12)
+
+
+STRUCTURAL = "never reaches an exit"
+PRECISION = "beyond float64"
+
+
+def reference_drains(T, R):
+    """Per-state breadth-first search: does every state reach a row with an exit?"""
+    n = len(T)
+    for start in range(n):
+        seen, frontier = {start}, [start]
+        while frontier and not any(R[i].any() for i in frontier):
+            frontier = [j for i in frontier for j in np.flatnonzero(T[i]) if j not in seen]
+            seen.update(frontier)
+        if not frontier:
+            return False
+    return True
+
+
+def random_transient_system(rng, closed):
+    """T and R of a random chain of 2-13 transient states and two exits.
+
+    With ``closed``, a random non-empty set of states has its rows'
+    support inside the set and no exit, so that set is a closed class.
+    """
+    n = int(rng.integers(2, 14))
+    T = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < rng.uniform(0.1, 0.5))
+    R = rng.uniform(0.1, 1.0, (n, 2)) * (rng.random((n, 2)) < 0.2)
+    if closed:
+        inside = rng.random(n) < rng.uniform(0.1, 1.0)
+        inside[rng.integers(n)] = True
+        T[np.ix_(inside, ~inside)] = 0.0
+        R[inside] = 0.0
+    for i in np.flatnonzero(T.sum(axis=1) + R.sum(axis=1) == 0):
+        T[i, rng.integers(n) if not closed or not inside[i] else i] = 1.0
+    total = T.sum(axis=1) + R.sum(axis=1)
+    return T / total[:, None], R / total[:, None]
+
+
+class TestDivergenceRule:
+    def test_drains_matches_per_state_search(self):
+        rng = np.random.default_rng(6)
+        verdicts = []
+        for k in range(10_000):
+            T, R = random_transient_system(rng, closed=k % 2 == 1)
+            labels = tuple(str(i) for i in range(len(T)))
+            want = reference_drains(T, R)
+            verdicts.append(want)
+            for as_matrix in AS_MATRIX:
+                ts = chain.TransientSystem(labels, as_matrix(T), as_matrix(R), ("a", "b"))
+                assert chain._drains(ts) is want
+                if as_matrix is np.asarray or k % 5 < 2:  # a sparse solve costs ~2 ms
+                    result = chain.expected_rounds(ts, labels[-1])
+                    assert result.is_infinite is not want
+                    if not want:
+                        assert STRUCTURAL in result.condition_note
+        # both verdicts are well represented, and open chains also fail to drain
+        assert 3_000 < sum(verdicts) < 7_000
+
+    def test_drains_loads_no_scipy(self):
+        src = str(Path(chain.__file__).resolve().parents[1])
+        probe = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "from tipsychase import chain, families; "
+            "s = families.SpinnerThree(c=0.0, r=1.0, t=0.0); "
+            "ts = chain.extract_transient(families.cycle_chain(6, s)); "
+            "print(chain._drains(ts), sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        done = subprocess.run([sys.executable, "-c", probe, src], capture_output=True,
+                              text=True, check=True, timeout=120)
+        assert done.stdout == "False []\n"
+
+    def test_fleeing_robber_gets_the_structural_note(self):
+        ts = chain.extract_transient(
+            families.cycle_chain(6, families.SpinnerThree(c=0.0, r=1.0, t=0.0))
+        )
+        assert not chain._drains(ts)
+        for d in ts.labels:
+            assert STRUCTURAL in chain.expected_rounds(ts, d).condition_note
+            with pytest.raises(Divergent, match=STRUCTURAL):
+                chain.absorption_split(ts, d)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: families.cycle_chain(6, families.SpinnerThree(1e-15, 1 - 1e-15, 0.0)),
+            lambda: families.toroidal7_chain(families.SpinnerThree(0.001, 0.999, 0.0)),
+        ],
+        ids=["cycle6-c1e-15", "torus7-c0.001"],
+    )
+    def test_drained_chain_beyond_float64_reads_infinite(self, build):
+        # every state reaches capture, but E is too large for any float64 solve to
+        # meet the residual check: such a chain reads Infinite, with its own note
+        ts = chain.extract_transient(build())
+        assert chain._drains(ts)
+        assert ts.solution is None
+        for d in ts.labels:
+            result = chain.expected_rounds(ts, d)
+            assert result.is_infinite
+            assert PRECISION in result.condition_note
+            with pytest.raises(Divergent, match=PRECISION):
+                chain.absorption_split(ts, d)

@@ -178,6 +178,21 @@ class TestFormats:
         assert json.dumps(payload, indent=2) + "\n" == out
         assert payload["columns"][0] == "start"
 
+    def test_json_divergent_rows_are_strict_json(self, capsys):
+        # the fleeing robber: E is infinite and the absorption split undefined
+        argv = ["analyze", "--family", "cycle", "--n", "6", "--c", "0", "--r", "1",
+                "--t", "0", "--absorption"]
+
+        def refuse(token):
+            raise ValueError(f"{token} is not RFC 8259 JSON")
+
+        _, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        payload = json.loads(out, parse_constant=refuse)
+        assert json.dumps(payload, indent=2) + "\n" == out
+        assert [(r["E"], r["absorb:0"]) for r in payload["rows"]] == [("Infinite", None)] * 3
+        _, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+        assert [(r["E"], r["absorb:0"]) for r in rows_from_csv(out)] == [("Infinite", "nan")] * 3
+
     def test_digits_control(self, capsys):
         _, out, _ = run_cli(self.ARGS + ["--format", "csv", "--digits", "2"], capsys)
         rows = rows_from_csv(out)

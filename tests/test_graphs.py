@@ -93,16 +93,6 @@ def test_generators_pass_build_graph_validation():
         assert np.array_equal(rebuilt.distance, g.distance)
 
 
-def test_generate_family_dispatch():
-    assert graphs.generate_family("cycle", n=6).vertex_count == 6
-    assert graphs.generate_family("petersen").vertex_count == 10
-    assert graphs.generate_family("torus", m=3, n=3).vertex_count == 9
-    with pytest.raises(InvalidParameter):
-        graphs.generate_family("hypercube", n=3)
-    with pytest.raises(InvalidParameter):
-        graphs.generate_family("cycle", m=6)
-
-
 @pytest.mark.parametrize(
     "vc,edges,err",
     [
@@ -124,8 +114,10 @@ def test_build_graph_errors(vc, edges, err):
      ("tree_truncated", {"degree": 3, "depth": 0})],
 )
 def test_generator_parameter_errors(kind, kwargs):
+    generators = {"cycle": graphs.cycle_graph, "friendship": graphs.friendship_graph,
+                  "torus": graphs.torus_grid, "tree_truncated": graphs.truncated_tree}
     with pytest.raises(InvalidParameter):
-        graphs.generate_family(kind, **kwargs)
+        generators[kind](**kwargs)
 
 
 def test_edge_list_round_trip(tmp_path):

@@ -294,7 +294,7 @@ def per_label_survival(builder, split, sched, d, rounds):
 def per_label_expectation(builder, split, sched, d, tol, n_max):
     """The per-label series the vector forms replaced, with the same stop rule."""
     solved = chain.extract_transient(builder(split.spinner(sched.limit))).solution
-    if solved is None or (solved[1].sum(axis=1) < 1 - chain.ABSORPTION_TOL).any():
+    if solved is None or (solved[1].sum(axis=1) < 1 - 1e-9).any():
         return schedules.SeriesResult(math.inf, 0, math.inf, False)
     profile = solved[0]
     first = per_round_transient(builder, split, sched, 1)
