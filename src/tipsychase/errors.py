@@ -44,11 +44,7 @@ class InvalidState(GameModelError):
 
 
 class Divergent(GameModelError):
-    """Absorption probabilities are asked for where E reads infinite.
-
-    Either some transient state never reaches an exit, or no solve
-    resolves the chain in float64; the message says which.
-    """
+    """Absorption probabilities are asked for where no solve holds them; the message says why."""
 
 
 class NotLumpable(GameModelError):

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -376,7 +377,7 @@ class TestSolveCache:
 
     def test_cached_arrays_are_read_only(self):
         ts = chain.extract_transient(ruin_chain(0.4))
-        expected, absorb = ts.solution
+        expected, absorb, _ = ts.solution
         with pytest.raises(ValueError):
             expected[0] = 0.0
         with pytest.raises(ValueError):
@@ -401,7 +402,7 @@ class TestSolveCache:
 
 
 STRUCTURAL = "never reaches an exit"
-PRECISION = "beyond float64"
+PRECISION = "cannot resolve E"
 
 
 def reference_drains(T, R):
@@ -415,6 +416,21 @@ def reference_drains(T, R):
         if not frontier:
             return False
     return True
+
+
+def exact_solve(T, b):
+    """Exact solution of (I - T) x = b for the float64 T and b, as Fractions (Gauss-Jordan)."""
+    n = len(T)
+    A = [[Fraction(int(i == j)) - Fraction(float(T[i, j])) for j in range(n)]
+         + [Fraction(float(b[i]))] for i in range(n)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if A[r][c] != 0)
+        A[c], A[p] = A[p], A[c]
+        for r in range(n):
+            if r != c and A[r][c] != 0:
+                f = A[r][c] / A[c][c]
+                A[r] = [a - f * b for a, b in zip(A[r], A[c])]
+    return [A[i][n] / A[i][i] for i in range(n)]
 
 
 def random_transient_system(rng, closed):
@@ -489,8 +505,8 @@ class TestDivergenceRule:
         ids=["cycle6-c1e-15", "torus7-c0.001"],
     )
     def test_drained_chain_beyond_float64_reads_infinite(self, build):
-        # every state reaches capture, but E is too large for any float64 solve to
-        # meet the residual check: such a chain reads Infinite, with its own note
+        # every state reaches capture, but no float64 solve bounds E's relative
+        # error below one: such a chain reads Infinite, with its own note
         ts = chain.extract_transient(build())
         assert chain._drains(ts)
         assert ts.solution is None
@@ -500,3 +516,128 @@ class TestDivergenceRule:
             assert PRECISION in result.condition_note
             with pytest.raises(Divergent, match=PRECISION):
                 chain.absorption_split(ts, d)
+
+    @pytest.mark.parametrize(
+        "build,finite_from,infinite_from",
+        [
+            (lambda c: families.cycle_chain(6, families.SpinnerThree(c, 1 - c, 0.0)), 4.5, 5),
+            (lambda c: families.toroidal7_chain(families.SpinnerThree(c, 1 - c, 0.0)), 2, 3),
+        ],
+        ids=["cycle6", "torus7"],
+    )
+    def test_where_a_draining_chain_turns_infinite(self, build, finite_from, infinite_from):
+        # c = 10^-k/2, r = 1 - c: E grows about as c^-3 on the cycle.  E stays
+        # finite while the solve bounds its error below one, and each finite E
+        # and capture probability lies within that bound of the exact rational
+        # solve.  The torus at c = 10^-2.5 has a bound within a factor two of
+        # one, so its verdict rests on LAPACK's last bits and is not pinned.
+        for k in range(2, 33):
+            ts = chain.extract_transient(build(10 ** (-k / 2)))
+            assert chain._drains(ts)
+            result = chain.expected_rounds(ts, ts.labels[-1])
+            if k / 2 >= infinite_from:
+                assert result.is_infinite and PRECISION in result.condition_note
+            elif k / 2 <= finite_from:
+                expected, absorb, bound = ts.solution
+                assert bound < 0.5
+                assert (result.condition_note is None) is (bound <= chain.RESIDUAL_TOL)
+                T = np.asarray(ts.T)
+                exact = exact_solve(T, np.ones(len(T)))
+                for x, want in zip(expected, exact):
+                    assert abs(Fraction(float(x)) - want) <= Fraction(bound) * want
+                exact = exact_solve(T, np.asarray(ts.R)[:, 0])
+                for p, want in zip(absorb[:, 0], exact):
+                    assert abs(Fraction(float(p)) - want) <= Fraction(bound)
+
+    def test_solve_that_is_not_positive_certifies_nothing(self):
+        # rows summing to 1 + 1e-10 pass validate, yet T's spectral radius is
+        # above one: LU returns E = -1e10 with a tiny residual, which proves nothing
+        P = np.array([[1.0, 0.0, 0.0], [1e-12, 0.5, 0.5 + 1e-10], [0.0, 0.5 + 1e-10, 0.5]])
+        c = chain.MarkovChain(("0", "a", "b"), P, frozenset({0}))
+        chain.validate(c)
+        ts = chain.extract_transient(c)
+        assert chain._drains(ts)
+        result = chain.expected_rounds(ts, "a")
+        assert result.is_infinite and PRECISION in result.condition_note
+
+    def test_error_bound_covers_a_perturbed_split(self):
+        # the capture probabilities of the 6-cycle at c = 0.01 (E = 1e6), each
+        # moved by 1e-6: the residual sees only c * 1e-6, yet the bound covers it
+        ts = chain.extract_transient(
+            families.cycle_chain(6, families.SpinnerThree(0.01, 0.99, 0.0))
+        )
+        expected, absorb, bound = ts.solution
+        X = np.column_stack([expected, absorb + 1e-6])
+        B = np.column_stack([np.ones(len(expected)), ts.R])
+        assert bound < 1e-8
+        assert chain._error_bound(ts, X, B) >= 1e-6
+
+    @pytest.mark.parametrize("bound,finite", [(0.5, True), (1.0, False), (2.0, False)])
+    def test_lu_answer_is_kept_only_below_one(self, monkeypatch, bound, finite):
+        monkeypatch.setattr(chain, "_error_bound", lambda ts, X, B: bound)
+        ts = chain.extract_transient(ruin_chain(0.4))
+        result = chain.expected_rounds(ts, "1")
+        assert result.is_infinite is not finite
+        if finite:
+            assert result.condition_note == "certified error at most 0.5"
+        else:
+            assert PRECISION in result.condition_note
+
+    def test_large_finite_e_carries_its_bound(self):
+        # the 6-cycle at c = 1e-4: E is 1e12, finite, with its bound as the note
+        ts = chain.extract_transient(
+            families.cycle_chain(6, families.SpinnerThree(1e-4, 1 - 1e-4, 0.0))
+        )
+        result = chain.expected_rounds(ts, ts.labels[-1])
+        assert result.value == pytest.approx(1e12, rel=1e-3)
+        assert chain.RESIDUAL_TOL < ts.solution[2] < 0.01
+        assert result.condition_note == f"certified error at most {ts.solution[2]:.2g}"
+
+    def test_error_bound_holds_on_near_singular_chains(self):
+        # random chains of 2-6 states whose exits carry 1e-1 ... 1e-16 of a row:
+        # every kept LU answer, E and the capture probability, is within its
+        # bound of the exact rational solve
+        rng = np.random.default_rng(11)
+        kept = refused = 0
+        for _ in range(400):
+            n = int(rng.integers(2, 7))
+            T = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+            for i in np.flatnonzero(T.sum(axis=1) == 0):
+                T[i, (i + 1) % n] = 1.0
+            T /= T.sum(axis=1, keepdims=True)
+            exits = rng.random(n) < 0.3
+            exits[rng.integers(n)] = True
+            T[exits] *= 1 - 10 ** -rng.uniform(1, 16)
+            R = (1.0 - T.sum(axis=1))[:, None]
+            ts = chain.TransientSystem(tuple("abcdef"[:n]), T, R, ("0",))
+            if not chain._drains(ts):
+                continue
+            solved = ts.solution
+            if solved is None:
+                refused += 1
+                continue
+            kept += 1
+            expected, absorb, bound = solved
+            for x, want in zip(expected, exact_solve(T, np.ones(n))):
+                assert want > 0
+                assert abs(Fraction(float(x)) - want) <= Fraction(bound) * want
+            for p, want in zip(absorb[:, 0], exact_solve(T, R[:, 0])):
+                assert abs(Fraction(float(p)) - want) <= Fraction(bound)
+        assert kept > 100 and refused > 10
+
+    def test_sparse_search_reads_each_column_once_at_depth(self):
+        # a 20,000-state path stepping one state down at a time, exit at the bottom,
+        # drains; with an explicit zero in place of one step down, the states
+        # above it never drain
+        n = 20_000
+        down = scipy.sparse.diags_array([np.full(n - 1, 0.5)], offsets=[-1], shape=(n, n))
+        T = scipy.sparse.csr_array(down + scipy.sparse.eye_array(n) * 0.5)
+        R = np.zeros((n, 1))
+        R[0, 0] = 0.5
+        labels = tuple(map(str, range(n)))
+        assert chain._drains(chain.TransientSystem(labels, T, R, ("0",)))
+        closed = T.copy()
+        row = slice(closed.indptr[n - 2], closed.indptr[n - 1])
+        closed.data[row][closed.indices[row] == n - 3] = 0.0
+        assert closed.nnz == T.nnz  # the step down stays stored, as an explicit zero
+        assert not chain._drains(chain.TransientSystem(labels, closed, R, ("0",)))

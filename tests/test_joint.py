@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.sparse.linalg import bicgstab
 
 from conftest import random_connected_graph, random_spinner3, random_spinner4
 from tipsychase import chain, families, graphs, joint
@@ -345,7 +347,7 @@ class TestSparseSolve:
             assert max(abs(got[k] - want[k]) for k in want) <= SPARSE_TOL
 
     def test_near_singular_chain_falls_back_to_dense_lu(self, monkeypatch):
-        # every state drains, but neither BiCGSTAB nor dense LU meets the residual check
+        # every state drains, but neither BiCGSTAB nor dense LU bounds E's relative error
         s = families.SpinnerFour(c=0.001, r=0.999, t_c=0.0, t_r=0.0)
         fallbacks = []
         dense_solve = chain._dense_lu_solve
@@ -359,15 +361,38 @@ class TestSparseSolve:
         assert chain._drains(sparse)
         for d in sparse.labels:
             result = chain.expected_rounds(sparse, d)
-            assert result.is_infinite and "beyond float64" in result.condition_note
+            assert result.is_infinite and "cannot resolve E" in result.condition_note
+
+    def test_unresolved_split_of_a_resolved_chain_says_so(self, monkeypatch):
+        # BiCGSTAB resolves E, but the dense solve for the split is refused
+        _, sparse = _both("torus5axis", families.SpinnerFour(0.3, 0.4, 0.15, 0.15))
+        monkeypatch.setattr(chain, "_dense_lu_solve", lambda ts: None)
+        d = sparse.labels[0]
+        assert not chain.expected_rounds(sparse, d).is_infinite
+        with pytest.raises(Divergent, match="E is resolved, but the dense solve for the "
+                                            "absorption split"):
+            chain.absorption_split(sparse, d)
 
     def test_failed_residual_check_reads_as_dense_lu(self, monkeypatch):
         monkeypatch.setattr(chain, "KRYLOV_MAXITER", 1)
         dense, sparse = _both("torus5axis", families.SpinnerFour(0.3, 0.4, 0.15, 0.15))
-        expected, absorb = sparse.solution
+        expected, absorb, _ = sparse.solution
         assert absorb is not None  # the dense fallback solved every column
         assert np.array_equal(expected, dense.solution[0])
         assert np.array_equal(absorb, dense.solution[1])
+
+    def test_loose_krylov_answer_reads_as_dense_lu(self, monkeypatch):
+        # BiCGSTAB stopped after 4 iterations: its answer is bounded (to about
+        # 2e-3), but not within RESIDUAL_TOL, so the dense fallback solves the chain
+        monkeypatch.setattr(chain, "KRYLOV_MAXITER", 4)
+        dense, sparse = _both("torus5axis", families.SpinnerFour(0.3, 0.4, 0.15, 0.15))
+        ones = np.ones(sparse.n_transient)
+        x, _ = bicgstab(scipy.sparse.eye_array(sparse.n_transient) - sparse.T, ones,
+                        atol=chain.KRYLOV_TOL, rtol=0.0, maxiter=4)
+        assert chain.RESIDUAL_TOL < chain._error_bound(sparse, x[:, None], ones[:, None]) < 1
+        expected, absorb, bound = sparse.solution
+        assert absorb is not None and bound <= chain.RESIDUAL_TOL
+        assert np.array_equal(expected, dense.solution[0])
 
     def test_dense_fallback_respects_byte_cap(self, monkeypatch):
         monkeypatch.setattr(chain, "KRYLOV_MAXITER", 1)
