@@ -140,7 +140,8 @@ def _family_spinner(args):
 def _arena(args):
     """(graph, rules, lumping) of the family's joint game.
 
-    The move-table cap is checked before the lumping labels every pair.
+    The move-table cap is checked before the lumping labels every pair,
+    and on a tree before the arena is built at all.
     """
     fam = args.family
     rules, lumping = joint.standard_rules(), joint.distance_lumping
@@ -155,11 +156,21 @@ def _arena(args):
         lumping = lambda g: joint.torus_lumping(g, 7, 7)
     elif fam == "tree":
         delta, call_off = _need(args, "delta", "--delta"), _need(args, "max_dist", "--max-dist")
-        g = graphs.truncated_tree(delta, args.depth if args.depth is not None else call_off + 4)
+        depth = args.depth if args.depth is not None else call_off + 4
+        joint.check_move_tables(graphs._check_tree(delta, depth), delta)
+        g = graphs.truncated_tree(delta, depth)
     else:
         raise ConfigError("simulate needs --family or --graph-file")
-    joint.check_move_tables(g)
+    joint.check_move_tables(g.vertex_count, max(map(len, g.neighbors)))
     return g, rules, lumping(g)
+
+
+def _expected_value(label, ts):
+    """E from ``label``; a finite E's condition note, if any, goes to stderr."""
+    result = chain_mod.expected_rounds(ts, label)
+    if result.condition_note and not result.is_infinite:
+        print(f"note: {label}: {result.condition_note}", file=sys.stderr)
+    return result.value
 
 
 def _measure_rows(ts, rounds_list, want_absorption):
@@ -169,7 +180,7 @@ def _measure_rows(ts, rounds_list, want_absorption):
         row = {"start": label}
         for m, vec in zip(rounds_list, survival):
             row[f"G{m}"] = float(vec[i])
-        row["E"] = chain_mod.expected_rounds(ts, label).value
+        row["E"] = _expected_value(label, ts)
         if want_absorption:
             try:
                 split = chain_mod.absorption_split(ts, label)
@@ -199,7 +210,7 @@ def cmd_analyze(args) -> int:
         row = {"start": label}
         for m in rounds_list:
             row[f"G{m}"] = chain_mod.survival_probability(ts, label, m)
-        row["E"] = chain_mod.expected_rounds(ts, label).value
+        row["E"] = _expected_value(label, ts)
         rows = [row]
     elif args.schedule:
         if args.robber_share is None:

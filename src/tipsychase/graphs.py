@@ -1,13 +1,16 @@
 """Finite simple undirected graphs with eagerly computed distances.
 
 Vertices are dense integers ``0..V-1``.  All-pairs shortest-path hop
-counts are filled at construction by one breadth-first search per
-vertex; every graph in scope is small, so the O(V*E) cost is irrelevant
-next to having distances available as a plain array lookup.  A graph
-whose V x V int32 distance table would exceed ``chain.DENSE_BYTE_CAP``
-(more than 11,585 vertices) is refused with GraphTooLarge before
-anything is allocated; the family generators check the vertex count
-their arguments imply before they list a single edge.
+counts are filled at construction, so a distance is a plain array
+lookup.  One numpy breadth-first search advances every source of a block
+of rows at once over the CSR neighbour arrays: the work is O(V*E), as
+for one search per vertex, but each level costs a handful of numpy calls
+instead of a Python step per edge.  Blocks are sized so that the scratch
+arrays stay within ``BFS_BLOCK_ENTRIES`` entries whatever the graph's
+shape.  A graph whose V x V int32 distance table would exceed
+``chain.DENSE_BYTE_CAP`` (more than 11,585 vertices) is refused with
+GraphTooLarge before anything is allocated; the family generators check
+the vertex count their arguments imply before they list a single edge.
 
 Family generators use a fixed, documented vertex labeling so that state
 names in downstream output stay stable:
@@ -24,7 +27,6 @@ names in downstream output stay stable:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,7 @@ from . import chain as chain_mod
 from .errors import DisconnectedGraph, InvalidEdge, InvalidParameter
 
 UNREACHED = -1
+BFS_BLOCK_ENTRIES = 2**20  # rows x max(V, 2E) per source block: the BFS scratch bound
 
 
 @dataclass(frozen=True)
@@ -59,16 +62,44 @@ class Graph:
         return int(self.distance.max())
 
 
-def _bfs_row(neighbors, source, out):
-    out[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = out[u]
-        for w in neighbors[u]:
-            if out[w] == UNREACHED:
-                out[w] = du + 1
-                queue.append(w)
+def _distances(vertex_count: int, indptr: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """All-pairs hop counts by a BFS from every source of a row block at once.
+
+    A block's frontier holds flat indices ``(s - lo) * V + v`` into its
+    rows of the table.  Each level gathers every frontier vertex's
+    neighbours from ``col``, drops the entries already set, and keeps one
+    entry of each duplicate by stamping: after ``stamp[idx] = arange(k)``
+    exactly one position of each repeated index reads back its own
+    position, whichever write numpy kept.  Raises DisconnectedGraph after
+    the first block, whose row 0 is the search from vertex 0.
+    """
+    V = vertex_count
+    deg = np.diff(indptr)
+    dist = np.full((V, V), UNREACHED, dtype=np.int32)
+    rows = max(1, min(V, BFS_BLOCK_ENTRIES // max(V, len(col))))
+    stamp = np.empty(rows * V, dtype=np.intp)
+    for lo in range(0, V, rows):
+        block = dist[lo : lo + rows].reshape(-1)
+        sources = np.arange(lo, lo + len(block) // V)
+        frontier = (sources - lo) * V + sources
+        block[frontier] = 0
+        level = 0
+        while frontier.size:
+            level += 1
+            row_start, v = np.divmod(frontier, V)
+            row_start *= V
+            d = deg[v]
+            ends = np.cumsum(d)
+            shift = np.repeat(indptr[v] - ends + d, d)
+            idx = np.repeat(row_start, d) + col[np.arange(ends[-1]) + shift]
+            idx = idx[block[idx] == UNREACHED]
+            first = np.arange(len(idx))
+            stamp[idx] = first
+            frontier = idx[stamp[idx] == first]
+            block[frontier] = level
+        if lo == 0 and (block == UNREACHED).any():
+            raise DisconnectedGraph(f"graph on {V} vertices is not connected")
+    return dist
 
 
 def _check_size(vertex_count: int) -> None:
@@ -105,11 +136,10 @@ def build_graph(vertex_count: int, edges) -> Graph:
         nbrs[v].append(u)
     neighbors = tuple(tuple(sorted(ns)) for ns in nbrs)
 
-    dist = np.full((vertex_count, vertex_count), UNREACHED, dtype=np.int32)
-    for s in range(vertex_count):
-        _bfs_row(neighbors, s, dist[s])
-    if (dist == UNREACHED).any():
-        raise DisconnectedGraph(f"graph on {vertex_count} vertices is not connected")
+    indptr = np.zeros(vertex_count + 1, dtype=np.intp)
+    np.cumsum([len(ns) for ns in neighbors], out=indptr[1:])
+    col = np.fromiter((w for ns in neighbors for w in ns), dtype=np.intp, count=indptr[-1])
+    dist = _distances(vertex_count, indptr, col)
     dist.flags.writeable = False
 
     return Graph(
@@ -171,6 +201,21 @@ def _tree_size(degree: int, depth: int) -> int:
     return 1 + degree * ((degree - 1) ** min(depth, 64) - 1) // (degree - 2)
 
 
+def _check_tree(degree: int, depth: int) -> int:
+    """Validate ``truncated_tree``'s arguments and size; return its vertex count.
+
+    Its maximum degree is ``degree``, so a caller can refuse the arena
+    from these two numbers before any edge is listed.
+    """
+    if degree < 2:
+        raise InvalidParameter(f"tree degree must be >= 2, got {degree}")
+    if depth < 1:
+        raise InvalidParameter(f"tree depth must be >= 1, got {depth}")
+    vertex_count = _tree_size(degree, depth)
+    _check_size(vertex_count)
+    return vertex_count
+
+
 def truncated_tree(degree: int, depth: int) -> Graph:
     """Ball of radius ``depth`` in the infinite ``degree``-regular tree.
 
@@ -178,11 +223,7 @@ def truncated_tree(degree: int, depth: int) -> Graph:
     degree-1 children; vertices at distance ``depth`` are leaves.  Used
     as a finite stand-in arena when simulating the tree game.
     """
-    if degree < 2:
-        raise InvalidParameter(f"tree degree must be >= 2, got {degree}")
-    if depth < 1:
-        raise InvalidParameter(f"tree depth must be >= 1, got {depth}")
-    _check_size(_tree_size(degree, depth))
+    _check_tree(degree, depth)
     edges = []
     frontier = [0]
     next_vertex = 1

@@ -197,21 +197,23 @@ def _hop_move_tables(g: Graph, rules: StrategyRules, maxdeg):
     return cop_tab, cop_cnt, rob_tab, rob_cnt
 
 
-def check_move_tables(g: Graph) -> None:
-    """Raise InvalidParameter when g's move tables would exceed PAIR_TABLE_CAP entries."""
-    V = g.vertex_count
-    maxdeg = max(map(len, g.neighbors))
-    if V * V * maxdeg > PAIR_TABLE_CAP:
+def check_move_tables(vertex_count: int, max_degree: int) -> None:
+    """Raise InvalidParameter when the move tables would exceed PAIR_TABLE_CAP entries.
+
+    Arithmetic on the arena's size alone, so a caller can refuse an arena
+    before it builds the graph or its distance table.
+    """
+    if vertex_count * vertex_count * max_degree > PAIR_TABLE_CAP:
         raise InvalidParameter(
             f"graph too large for the (cop, robber) move tables "
-            f"({V} vertices, max degree {maxdeg})"
+            f"({vertex_count} vertices, max degree {max_degree})"
         )
 
 
 def _move_tables(g: Graph, rules: StrategyRules):
     """Dense per-pair sober-move tables plus padded neighbor lists."""
-    check_move_tables(g)
     nbr, deg, maxdeg = _padded_neighbors(g)
+    check_move_tables(g.vertex_count, maxdeg)
     return (nbr, deg, *_hop_move_tables(g, rules, maxdeg))
 
 

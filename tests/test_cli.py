@@ -70,7 +70,7 @@ class TestAnalyze:
         assert float(d1["absorb:0"]) == pytest.approx(0.5976, abs=5e-4)
 
     def test_infinite_expectation_rendering(self, capsys):
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             ["analyze", "--family", "cycle", "--n", "6", "--c", "0", "--r", "1",
              "--t", "0", "--format", "csv"],
             capsys,
@@ -78,6 +78,22 @@ class TestAnalyze:
         assert code == 0
         rows = rows_from_csv(out)
         assert all(r["E"] == "Infinite" for r in rows)
+        assert err == ""  # only a finite E's condition note is shown
+
+    def test_loose_certified_bound_noted_on_stderr(self, capsys):
+        # the 6-cycle at c = 10^-4.5, r = 1 - c: E and the split hold only to
+        # a certified bound of 0.04, which stderr states once per start
+        code, out, err = run_cli(
+            ["analyze", "--family", "cycle", "--n", "6", "--c", "3.1622776601683795e-05",
+             "--r", "0.9999683772233983", "--t", "0", "--absorption"],
+            capsys,
+        )
+        assert code == 0
+        assert out == ("start  E          absorb:0\n"
+                       "    1  3.157e+13    0.9983\n"
+                       "    2  3.157e+13    0.9983\n"
+                       "    3  3.157e+13    0.9983\n")
+        assert err == "".join(f"note: {s}: certified error at most 0.04\n" for s in "123")
 
     def test_time_schedule(self, capsys):
         code, out, _ = run_cli(
@@ -291,10 +307,15 @@ class TestSimulate:
 
 
     def test_move_table_cap_refuses_before_lumping(self, capsys, monkeypatch):
-        # a 3,070-vertex arena: V^2 * max degree is 28 M table entries, over the cap
+        # a 3,070-vertex arena: V^2 * max degree is 28 M table entries, over the
+        # cap; the check is arithmetic on the tree's size, so no graph is built
+        def no_graph(*args):
+            raise AssertionError("graph built before the move-table check")
+
         def no_lumping(g):
             raise AssertionError("lumping built before the move-table check")
 
+        monkeypatch.setattr(graphs, "build_graph", no_graph)
         monkeypatch.setattr(joint, "distance_lumping", no_lumping)
         code, out, err = run_cli(
             ["simulate", "--family", "tree", "--delta", "3", "--max-dist", "6", "--c", ".3",

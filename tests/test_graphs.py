@@ -1,3 +1,8 @@
+import subprocess
+import sys
+from collections import deque
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -105,6 +110,101 @@ def test_generators_pass_build_graph_validation():
 def test_build_graph_errors(vc, edges, err):
     with pytest.raises(err):
         graphs.build_graph(vc, edges)
+
+
+def reference_distances(g):
+    """One plain deque BFS per source over ``g.neighbors``."""
+    V = g.vertex_count
+    dist = np.full((V, V), -1, dtype=np.int32)
+    for s in range(V):
+        dist[s, s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in g.neighbors[u]:
+                if dist[s, w] < 0:
+                    dist[s, w] = dist[s, u] + 1
+                    queue.append(w)
+    return dist
+
+
+def assert_distance_table(g, want):
+    assert g.distance.dtype == np.int32
+    assert not g.distance.flags.writeable
+    assert np.array_equal(g.distance, want)
+
+
+def test_distances_match_reference_on_random_graphs():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def connected_graphs(draw):
+        # a random spanning tree plus extra edges, under a random labelling
+        n = draw(st.integers(1, 30))
+        labels = draw(st.permutations(range(n)))
+        tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        vertex = st.integers(0, n - 1)
+        extra = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+        edges = {}
+        for u, v in tree + extra:
+            if u != v:
+                edges.setdefault(frozenset((u, v)), (labels[u], labels[v]))
+        return n, list(edges.values())
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(graph=connected_graphs(), block_entries=st.sampled_from([1, 7, 40, 2**20]))
+    def check(graph, block_entries):
+        # small budgets split the sources into blocks of one or a few rows
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "BFS_BLOCK_ENTRIES", block_entries)
+            g = graphs.build_graph(*graph)
+        assert_distance_table(g, reference_distances(g))
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "V,edges,want",
+    [
+        (1_500, [(i, i + 1) for i in range(1_499)],
+         lambda v: np.abs(v[:, None] - v[None, :])),
+        (1_501, [(0, i) for i in range(1, 1_501)],
+         lambda v: (v[:, None] != v[None, :]) * (2 - (v[:, None] == 0) - (v[None, :] == 0))),
+        (120, [(i, j) for i in range(120) for j in range(i + 1, 120)],
+         lambda v: (v[:, None] != v[None, :]).astype(int)),
+    ],
+    ids=["path1500", "star1500", "complete120"],
+)
+def test_distances_across_source_blocks(V, edges, want):
+    # each graph needs more than one source block at the default budget
+    assert graphs.BFS_BLOCK_ENTRIES // max(V, 2 * len(edges)) < V
+    assert_distance_table(graphs.build_graph(V, edges), want(np.arange(V)))
+
+
+def test_build_graph_loads_no_scipy():
+    # the BFS is numpy only: loading scipy.sparse would raise the peak RSS of every simulation
+    src = str(Path(graphs.__file__).resolve().parents[1])
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from tipsychase import graphs; "
+        "g = graphs.truncated_tree(3, 4); "
+        "print(g.diameter, sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe, src], capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout == "8 []\n"
+
+
+@pytest.mark.parametrize("block_entries", [1, 2**20])
+@pytest.mark.parametrize("isolated", [0, 5, 9])
+def test_disconnected_vertex_in_any_block(monkeypatch, block_entries, isolated):
+    # one vertex cut off from a 10-cycle's path: with one-row blocks the
+    # search from vertex 0 alone, in the first block, must find it missing
+    rest = [v for v in range(10) if v != isolated]
+    monkeypatch.setattr(graphs, "BFS_BLOCK_ENTRIES", block_entries)
+    with pytest.raises(DisconnectedGraph, match="graph on 10 vertices is not connected"):
+        graphs.build_graph(10, list(zip(rest, rest[1:])))
 
 
 @pytest.mark.parametrize(
