@@ -140,28 +140,33 @@ def _family_spinner(args):
 def _arena(args):
     """(graph, rules, lumping) of the family's joint game.
 
-    The move-table cap is checked before the lumping labels every pair,
-    and on a tree before the arena is built at all.
+    The arena's vertex count and maximum degree follow from the family's
+    arguments, so the distance-table cap and then the move-table cap are
+    checked before the graph is built or the lumping labels every pair.
     """
     fam = args.family
     rules, lumping = joint.standard_rules(), joint.distance_lumping
     if fam == "cycle":
-        g = graphs.cycle_graph(_need(args, "n", "--n"))
+        n = _need(args, "n", "--n")
+        size, build = (graphs._check_cycle(n), 2), lambda: graphs.cycle_graph(n)
     elif fam == "petersen":
-        g = graphs.petersen_graph()
+        size, build = (10, 3), graphs.petersen_graph
     elif fam == "friendship":
-        g, lumping = graphs.friendship_graph(_need(args, "n", "--n")), joint.friendship_lumping
+        n = _need(args, "n", "--n")
+        size, build = (graphs._check_friendship(n), 2 * n), lambda: graphs.friendship_graph(n)
+        lumping = joint.friendship_lumping
     elif fam == "torus7":
-        g, rules = graphs.torus_grid(7, 7), joint.torus_rules(7, 7)
-        lumping = lambda g: joint.torus_lumping(g, 7, 7)
+        size, build = (49, 4), lambda: graphs.torus_grid(7, 7)
+        rules, lumping = joint.torus_rules(7, 7), lambda g: joint.torus_lumping(g, 7, 7)
     elif fam == "tree":
         delta, call_off = _need(args, "delta", "--delta"), _need(args, "max_dist", "--max-dist")
         depth = args.depth if args.depth is not None else call_off + 4
-        joint.check_move_tables(graphs._check_tree(delta, depth), delta)
-        g = graphs.truncated_tree(delta, depth)
+        size = graphs._check_tree(delta, depth), delta
+        build = lambda: graphs.truncated_tree(delta, depth)
     else:
         raise ConfigError("simulate needs --family or --graph-file")
-    joint.check_move_tables(g.vertex_count, max(map(len, g.neighbors)))
+    joint.check_move_tables(*size)
+    g = build()
     return g, rules, lumping(g)
 
 
@@ -357,7 +362,6 @@ def cmd_simulate(args) -> int:
         max_rounds=args.max_rounds,
         seed=args.seed,
         escape_distance=escape,
-        workers=args.workers,
     )
     report = montecarlo.run(cfg)
     row = {
@@ -470,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--max-rounds", dest="max_rounds", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--rounds", action="append",
                    help="survival horizons to report, e.g. --rounds 7,50")
     _add_common(p)

@@ -150,10 +150,16 @@ def build_graph(vertex_count: int, edges) -> Graph:
     )
 
 
-def cycle_graph(n: int) -> Graph:
+def _check_cycle(n: int) -> int:
+    """Validate ``cycle_graph``'s argument and size; return its vertex count."""
     if n < 3:
         raise InvalidParameter(f"cycle needs n >= 3, got {n}")
     _check_size(n)
+    return n
+
+
+def cycle_graph(n: int) -> Graph:
+    _check_cycle(n)
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -164,11 +170,17 @@ def petersen_graph() -> Graph:
     return build_graph(10, edges)
 
 
-def friendship_graph(n: int) -> Graph:
-    """``n`` triangles sharing the hub vertex 0."""
+def _check_friendship(n: int) -> int:
+    """Validate ``friendship_graph``'s argument and size; return its vertex count."""
     if n < 1:
         raise InvalidParameter(f"friendship graph needs n >= 1, got {n}")
     _check_size(2 * n + 1)
+    return 2 * n + 1
+
+
+def friendship_graph(n: int) -> Graph:
+    """``n`` triangles sharing the hub vertex 0."""
+    _check_friendship(n)
     edges = []
     for k in range(n):
         a, b = 2 * k + 1, 2 * k + 2

@@ -22,16 +22,21 @@ the tie-break key (cop keeps the minimum key, robber the maximum).
 
 Assembly
 --------
-The joint chain and the simulator share one move layer,
-``_move_tables``: per ordered pair, the sober cop's and the sober
-robber's targets (hop rules only, each uniform over its targets), plus
-every vertex's neighbour list for tipsy moves.  ``StrategyRules``'s
-``cop_move`` / ``robber_move`` give the same moves one pair at a time,
-as the reference the tables are tested against.  P is assembled from
-the tables in COO form, one block per spinner outcome with a positive
-weight, plus identity rows for captures.  ``sparse_joint_chain`` keeps
-it as a CSR array (a joint chain is about 0.1% non-zero: 51,921 entries
-of the 9x9 torus's 6,561^2), and ``build_joint_chain`` is its dense view.
+The joint chain and the simulator share one move table, ``_move_tables``:
+a padded ``targets`` array and its ``counts``, with one row per move a
+spinner outcome can call for, laid out in threshold order.  Rows
+0..V^2-1 hold the sober cop's targets at each ordered pair, rows
+V^2..2V^2-1 the sober robber's (hop rules only), and the V rows after
+them every vertex's neighbours for tipsy moves.  ``_move_rows(outcome,
+cop, robber, V)`` gives the row an outcome reads, and the outcome's
+parity the player who moves; each move is uniform over its row's
+targets.  ``StrategyRules``'s ``cop_move`` / ``robber_move`` give the
+sober moves one pair at a time, as the reference the table is tested
+against.  P is assembled from the table in COO form, one block per
+spinner outcome with a positive weight, plus identity rows for
+captures.  ``sparse_joint_chain`` keeps it as a CSR array (a joint
+chain is about 0.1% non-zero: 51,921 entries of the 9x9 torus's
+6,561^2), and ``build_joint_chain`` is its dense view.
 
 A partition of the pairs is an integer array over them: entry
 ``pair_index(g, cop, robber)`` indexes that pair's class in the
@@ -124,18 +129,6 @@ def pair_index(g: Graph, cop: int, robber: int) -> int:
 # ------------------------------------------------------------ move tables
 
 
-def _padded_neighbors(g: Graph):
-    V = g.vertex_count
-    maxdeg = max(g.degree(v) for v in range(V))
-    nbr = np.zeros((V, maxdeg), dtype=np.int32)
-    deg = np.zeros(V, dtype=np.int32)
-    for v in range(V):
-        ns = g.neighbors[v]
-        deg[v] = len(ns)
-        nbr[v, : len(ns)] = ns
-    return nbr, deg, maxdeg
-
-
 def _tie_key_matrix(g: Graph, rules: StrategyRules):
     """key[v, w] = tie_break(g, v, w), from one call on broadcast index arrays."""
     if rules.tie_break is None:
@@ -144,57 +137,6 @@ def _tie_key_matrix(g: Graph, rules: StrategyRules):
     v = np.arange(V)
     key = rules.tie_break(g, v[:, None], v[None, :])
     return np.broadcast_to(np.asarray(key, dtype=float), (V, V))
-
-
-def _pack_mask(rows, mask, tab, cnt, vertex_ids):
-    """Write the True rows of ``mask`` (per column) into padded tables."""
-    counts = mask.sum(axis=0)
-    width = min(tab.shape[1], mask.shape[0])
-    order = np.argsort(~mask, axis=0, kind="stable")[:width]
-    packed = vertex_ids[order].T.astype(tab.dtype)
-    packed[np.arange(width)[None, :] >= counts[:, None]] = 0
-    tab[rows, :width] = packed
-    cnt[rows] = counts
-
-
-def _hop_move_tables(g: Graph, rules: StrategyRules, maxdeg):
-    """Vectorized tables for hop-distance rules: one numpy pass per vertex."""
-    V = g.vertex_count
-    dist = g.distance
-    key = _tie_key_matrix(g, rules)
-    cop_tab = np.zeros((V * V, maxdeg), dtype=np.int32)
-    cop_cnt = np.zeros(V * V, dtype=np.int32)
-    rob_tab = np.zeros((V * V, maxdeg + 1), dtype=np.int32)  # +1: robber may stay
-    rob_cnt = np.zeros(V * V, dtype=np.int32)
-
-    for v in range(V):
-        ns = np.array(g.neighbors[v], dtype=np.int64)
-        D = dist[ns]  # (deg, V): distance from each neighbor to every opponent
-        rows_cop = v * V + np.arange(V)
-
-        mask = D == D.min(axis=0)
-        if key is not None:
-            Kc = key[ns]
-            best = np.where(mask, Kc, np.inf).min(axis=0)
-            mask &= Kc == best
-        _pack_mask(rows_cop, mask, cop_tab, cop_cnt, ns)
-
-        # robber at v against every cop position w (pairs w * V + v)
-        rows_rob = np.arange(V) * V + v
-        here = dist[v]
-        mask = D == D.max(axis=0)
-        if key is not None:
-            Kr = key[ns]
-            best = np.where(mask, Kr, -np.inf).max(axis=0)
-            mask &= Kr == best
-        _pack_mask(rows_rob, mask, rob_tab, rob_cnt, ns)
-        stay = (D < here).all(axis=0)
-        if stay.any():
-            idx = rows_rob[stay]
-            rob_tab[idx, 0] = v
-            rob_cnt[idx] = 1
-
-    return cop_tab, cop_cnt, rob_tab, rob_cnt
 
 
 def check_move_tables(vertex_count: int, max_degree: int) -> None:
@@ -210,11 +152,59 @@ def check_move_tables(vertex_count: int, max_degree: int) -> None:
         )
 
 
+def _move_rows(outcome, cop, robber, V: int):
+    """The move-table row that spinner ``outcome`` reads at pair (cop, robber).
+
+    Outcomes run in threshold order: sober cop, sober robber, tipsy cop,
+    tipsy robber; an even outcome moves the cop, an odd one the robber.
+    Works on integers and on broadcast index arrays alike.
+    """
+    sober = (outcome * V + cop) * V + robber
+    tipsy = 2 * V * V + np.where(outcome % 2 == 0, cop, robber)
+    return np.where(outcome < 2, sober, tipsy)
+
+
 def _move_tables(g: Graph, rules: StrategyRules):
-    """Dense per-pair sober-move tables plus padded neighbor lists."""
-    nbr, deg, maxdeg = _padded_neighbors(g)
-    check_move_tables(g.vertex_count, maxdeg)
-    return (nbr, deg, *_hop_move_tables(g, rules, maxdeg))
+    """(targets, counts): the padded move targets of every ``_move_rows`` row.
+
+    Row r lists its ``counts[r]`` targets in ascending order, each taken
+    with probability 1 / counts[r], and zeros after them.  A mover keeps
+    the neighbours that are best by hop distance to the other player,
+    then by the tie-break key: least for the cop, greatest for the
+    robber (compared as least after negation, which is exact).
+    """
+    V = g.vertex_count
+    maxdeg = max(map(len, g.neighbors))
+    check_move_tables(V, maxdeg)
+    dist = g.distance
+    key = _tie_key_matrix(g, rules)
+    targets = np.zeros((2 * V * V + V, maxdeg), dtype=np.int32)
+    counts = np.zeros(2 * V * V + V, dtype=np.int32)
+    others = np.arange(V)
+
+    for v in range(V):
+        ns = np.array(g.neighbors[v], dtype=np.int64)
+        targets[2 * V * V + v, : len(ns)] = ns
+        counts[2 * V * V + v] = len(ns)
+        D = dist[ns]  # (deg, V): distance from each neighbour to every opponent
+        # v as the cop against every robber, then as the robber against every cop
+        for rows, sign in ((v * V + others, 1), (V * V + others * V + v, -1)):
+            signed = sign * D
+            mask = signed == signed.min(axis=0)
+            if key is not None:
+                K = sign * key[ns]
+                mask &= K == np.where(mask, K, np.inf).min(axis=0)
+            n = mask.sum(axis=0)
+            packed = ns[np.argsort(~mask, axis=0, kind="stable")].T
+            packed[np.arange(len(ns)) >= n[:, None]] = 0
+            targets[rows, : len(ns)] = packed
+            counts[rows] = n
+        # the robber stays put when every neighbour would strictly close the gap
+        stay = V * V + others[(D < dist[v]).all(axis=0)] * V + v
+        targets[stay, 0] = v
+        counts[stay] = 1
+
+    return targets, counts
 
 
 # ------------------------------------------------------------ joint chain
@@ -239,24 +229,21 @@ def _assemble(g: Graph, s: SpinnerFour, rules: StrategyRules):
     share a target, so the sum is the same in any order.
     """
     V = g.vertex_count
-    nbr, deg, cop_tab, cop_cnt, rob_tab, rob_cnt = _move_tables(g, rules)
+    targets, counts = _move_tables(g, rules)
     pairs = np.arange(V * V)
     cop, robber = np.divmod(pairs, V)
     live = cop != robber
     pairs, cop, robber = pairs[live], cop[live], robber[live]
 
     rows, cols, vals = [], [], []
-    for weight, tab, cnt, cop_moves in (
-        (s.c, cop_tab[pairs], cop_cnt[pairs], True),
-        (s.t_c, nbr[cop], deg[cop], True),
-        (s.r, rob_tab[pairs], rob_cnt[pairs], False),
-        (s.t_r, nbr[robber], deg[robber], False),
-    ):
+    for outcome, weight in enumerate((s.c, s.r, s.t_c, s.t_r)):
         if weight == 0.0:
             continue  # no entries: the structural divergence test reads the support of P
-        target = tab[np.arange(tab.shape[1]) < cnt[:, None]].astype(np.int64)
+        row = _move_rows(outcome, cop, robber, V)
+        cnt = counts[row]
+        target = targets[row][np.arange(targets.shape[1]) < cnt[:, None]].astype(np.int64)
         rows.append(np.repeat(pairs, cnt))
-        if cop_moves:
+        if outcome % 2 == 0:
             cols.append(target * V + np.repeat(robber, cnt))
         else:
             cols.append(np.repeat(cop, cnt) * V + target)

@@ -10,15 +10,17 @@ and consumes exactly two doubles per round: one to pick the spinner
 outcome (cumulative thresholds c, c+r, c+r+t_c, 1) and one to pick the
 moving player's target.  Reports therefore depend only on (seed, trial
 index, round number) and are bitwise identical however trials are
-batched or spread across workers.
+batched.
 
 Trials are simulated in lock-step batches with numpy for speed; the
-per-trial streams make that purely an implementation detail.
+per-trial streams make that purely an implementation detail.  Each
+round is one gather from the joint chain's move table: the outcome's
+row, its target count, the pick ``min(int(u * n), n - 1)`` and the
+target, which replaces the moving player's vertex.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,7 @@ from .chain import check_dense_size
 from .errors import InvalidParameter, InvalidStart
 from .families import SpinnerFour
 from .graphs import Graph
-from .joint import StrategyRules, _move_tables
+from .joint import StrategyRules, _move_rows, _move_tables
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,6 @@ class SimConfig:
     max_rounds: int
     seed: int
     escape_distance: int | None = None
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ def _refill(bit_gen, gen, state, draws, local_rows, first_trial, block_index):
 
 def _run_batch(cfg: SimConfig, tables, lo: int, hi: int, rounds_out, outcome_out):
     """Simulate trials lo..hi-1 in lock-step; write per-trial results."""
-    nbr, deg, cop_tab, cop_cnt, rob_tab, rob_cnt = tables
+    targets, counts = tables
     V = cfg.graph.vertex_count
     dist = cfg.graph.distance
     s = cfg.spinner
@@ -121,30 +122,15 @@ def _run_batch(cfg: SimConfig, tables, lo: int, hi: int, rounds_out, outcome_out
         block_index += 1
         block = min(_BLOCK_ROUNDS, cfg.max_rounds - rounds_done)
         for j in range(block):
-            u_outcome = draws[alive, 2 * j]
-            u_move = draws[alive, 2 * j + 1]
-            category = np.searchsorted(thresholds, u_outcome, side="right")
-
+            outcome = np.searchsorted(thresholds, draws[alive, 2 * j], side="right")
             ca, ra = cop[alive], rob[alive]
-            pair = ca * V + ra
-            new_cop = ca.copy()
-            new_rob = ra.copy()
-
-            # (targets, counts, row per trial, player moved), in threshold order:
-            # sober cop, sober robber, tipsy cop, tipsy robber
-            for k, (tab, cnt, at, moved) in enumerate((
-                (cop_tab, cop_cnt, pair, new_cop),
-                (rob_tab, rob_cnt, pair, new_rob),
-                (nbr, deg, ca, new_cop),
-                (nbr, deg, ra, new_rob),
-            )):
-                mask = category == k
-                if mask.any():
-                    p = at[mask]
-                    n = cnt[p]
-                    pick = np.minimum((u_move[mask] * n).astype(np.int64), n - 1)
-                    moved[mask] = tab[p, pick]
-
+            row = _move_rows(outcome, ca, ra, V)
+            n = counts[row]
+            pick = np.minimum((draws[alive, 2 * j + 1] * n).astype(np.int64), n - 1)
+            target = targets[row, pick]
+            cop_moved = outcome % 2 == 0
+            new_cop = np.where(cop_moved, target, ca)
+            new_rob = np.where(cop_moved, ra, target)
             cop[alive] = new_cop
             rob[alive] = new_rob
 
@@ -198,18 +184,8 @@ def run(cfg: SimConfig) -> SimReport:
     outcome = np.zeros(cfg.trials, dtype=np.int8)
 
     batch = 8192
-    spans = [(lo, min(lo + batch, cfg.trials)) for lo in range(0, cfg.trials, batch)]
-    if cfg.workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            jobs = [
-                pool.submit(_run_batch, cfg, tables, lo, hi, rounds, outcome)
-                for lo, hi in spans
-            ]
-            for job in jobs:
-                job.result()
-    else:
-        for lo, hi in spans:
-            _run_batch(cfg, tables, lo, hi, rounds, outcome)
+    for lo in range(0, cfg.trials, batch):
+        _run_batch(cfg, tables, lo, min(lo + batch, cfg.trials), rounds, outcome)
 
     # rounds > m  <=>  still unabsorbed after m rounds (censored trials
     # carry max_rounds + 1 and so count as surviving every m)

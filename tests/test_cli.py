@@ -342,6 +342,28 @@ class TestSimulate:
         assert err.startswith("error: GraphTooLarge: dense distance table")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("family,error", [
+        (["cycle", "--n", "4000"], "InvalidParameter: graph too large for the (cop, robber) "
+                                   "move tables (4000 vertices, max degree 2)"),
+        (["friendship", "--n", "100"], "InvalidParameter: graph too large for the (cop, robber) "
+                                       "move tables (201 vertices, max degree 200)"),
+        (["cycle", "--n", "12000"], "GraphTooLarge: dense distance table would take 0.576 GB, "
+                                    "over the cap of 0.537 GB"),
+        (["friendship", "--n", "6000"], "GraphTooLarge: dense distance table would take "
+                                        "0.576 GB, over the cap of 0.537 GB"),
+    ])
+    def test_family_arena_refused_before_build(self, capsys, monkeypatch, family, error):
+        # every family arena's size follows from its arguments, so the distance-
+        # table cap and then the move-table cap refuse it before any graph is built
+        def no_graph(*args):
+            raise AssertionError("graph built before the size checks")
+
+        monkeypatch.setattr(graphs, "build_graph", no_graph)
+        code, out, err = run_cli(
+            ["simulate", "--family", *family, *SPIN3, "--start", "1", "--trials", "10"], capsys,
+        )
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
     @pytest.mark.parametrize("flag,what", [("--trials", "per-trial rounds"),
                                            ("--max-rounds", "survival curve")])
     def test_result_arrays_refused_by_arithmetic(self, capsys, monkeypatch, flag, what):

@@ -14,7 +14,7 @@ FLAGS = [
     "--family", "--n", "--delta", "--max-dist", "--c", "--r", "--t", "--tc", "--tr",
     "--graph-file", "--cop", "--robber", "--schedule", "--robber-share", "--rounds",
     "--terms", "--absorption", "--start", "--depth", "--trials", "--max-rounds",
-    "--seed", "--workers", "--unbounded", "--format", "--digits", "--bogus",
+    "--seed", "--unbounded", "--format", "--digits", "--bogus",
 ]
 # Numbers stay at most 3, so that whatever graph or run a fuzzed command
 # line asks for stays tiny: a tree arena grows as degree ** depth.
