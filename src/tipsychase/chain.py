@@ -407,8 +407,9 @@ def _krylov(ts: TransientSystem):
     from scipy.sparse.linalg import bicgstab
 
     A = (eye_array(ts.n_transient) - ts.T).tocsr()
-    x, _ = bicgstab(A, np.ones(ts.n_transient), rtol=0.0, atol=KRYLOV_TOL,
-                    maxiter=KRYLOV_MAXITER)
+    with np.errstate(all="ignore"):  # a breakdown's NaN or inf is refused by the bound below
+        x, _ = bicgstab(A, np.ones(ts.n_transient), rtol=0.0, atol=KRYLOV_TOL,
+                        maxiter=KRYLOV_MAXITER)
     bound = _error_bound(ts, x[:, None], np.ones((ts.n_transient, 1)))
     if not bound <= RESIDUAL_TOL:
         return None

@@ -50,9 +50,9 @@ def _json_value(value):
     return value
 
 
-def emit(columns, rows, fmt, digits, out=None):
-    """Render rows (dicts keyed by column name) as table, CSV, or JSON."""
-    out = out or sys.stdout
+def emit(columns, rows, fmt, digits):
+    """Render rows (dicts keyed by column name) to stdout as table, CSV, or JSON."""
+    out = sys.stdout
     if fmt == "table":
         digits = 4 if digits is None else digits
         text = [[_fmt(r.get(c), digits) for c in columns] for r in rows]
@@ -264,18 +264,14 @@ def _distance_chain(args, split, sched):
 def _time_varying_rows(args, split, sched, rounds_list):
     if args.family not in ("cycle", "petersen", "torus7", "tree"):
         raise ConfigError("time schedules apply to --family cycle, petersen, torus7, or tree")
-    builder = _family_builder(args)
-    survival = [
-        schedules.time_varying_survival_all(builder, split, sched, m) for m in rounds_list
-    ]
-    expectation = schedules.time_varying_expectation_all(
-        builder, split, sched, tol=1e-9, n_max=args.terms
+    first, survival, expectation = schedules._series(
+        _family_builder(args), split, sched, rounds_list, tol=1e-9, n_max=args.terms
     )
     rows = []
-    for label, result in expectation.items():
+    for i, (label, result) in enumerate(zip(first.labels, expectation)):
         row = {"start": label}
-        for m, g in zip(rounds_list, survival):
-            row[f"G{m}"] = g[label]
+        for m in rounds_list:
+            row[f"G{m}"] = float(survival[m][i])
         row["E"] = result.value
         row["terms"] = result.terms_used
         rows.append(row)
@@ -496,6 +492,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.digits is not None and args.digits < 0:
+            raise ConfigError(f"--digits must be >= 0, got {args.digits}")
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -61,6 +61,7 @@ TieBreak = Callable[[Graph, int, int], float]
 
 LUMP_TOL = 1e-9
 PAIR_TABLE_CAP = 8_000_000  # entries; guards the dense (cop, robber) move tables
+STATE_CAP = 10**6  # joint states; checked before any move table is built
 
 
 @dataclass(frozen=True)
@@ -210,13 +211,13 @@ def _move_tables(g: Graph, rules: StrategyRules):
 # ------------------------------------------------------------ joint chain
 
 
-def _joint_states(g: Graph, state_cap: int) -> int:
+def _joint_states(g: Graph) -> int:
     V = g.vertex_count
     if V < 2:
         raise InvalidParameter("joint chain needs at least 2 vertices")
     n_states = V * V
-    if n_states > state_cap:
-        raise GraphTooLarge(f"{n_states} joint states exceed the cap of {state_cap}")
+    if n_states > STATE_CAP:
+        raise GraphTooLarge(f"{n_states} joint states exceed the cap of {STATE_CAP}")
     return n_states
 
 
@@ -258,16 +259,14 @@ def _assemble(g: Graph, s: SpinnerFour, rules: StrategyRules):
     return labels, entries, frozenset(capture.tolist())
 
 
-def sparse_joint_chain(
-    g: Graph, s: SpinnerFour, rules: StrategyRules, state_cap: int = 10**6
-) -> MarkovChain:
+def sparse_joint_chain(g: Graph, s: SpinnerFour, rules: StrategyRules) -> MarkovChain:
     """Chain over all ordered (cop, robber) pairs, P a CSR array; capture states absorb.
 
     State ``pair_index(g, cop, robber)`` is labelled "(cop,robber)".
     """
     import scipy.sparse  # deferred: dense-only callers never pay its import
 
-    n_states = _joint_states(g, state_cap)
+    n_states = _joint_states(g)
     labels, entries, absorbing = _assemble(g, s, rules)
     P = scipy.sparse.csr_array(entries, shape=(n_states, n_states))
     built = MarkovChain(labels, P, absorbing)
@@ -275,17 +274,15 @@ def sparse_joint_chain(
     return built
 
 
-def build_joint_chain(
-    g: Graph, s: SpinnerFour, rules: StrategyRules, state_cap: int = 10**6
-) -> MarkovChain:
+def build_joint_chain(g: Graph, s: SpinnerFour, rules: StrategyRules) -> MarkovChain:
     """Dense view of ``sparse_joint_chain``, with the same states and entries.
 
     Refuses with GraphTooLarge, before assembling, when the dense P
     would exceed ``chain.DENSE_BYTE_CAP``.
     """
-    n_states = _joint_states(g, state_cap)
+    n_states = _joint_states(g)
     chain_mod.check_dense_size(n_states, n_states, "joint chain P")
-    sparse = sparse_joint_chain(g, s, rules, state_cap)
+    sparse = sparse_joint_chain(g, s, rules)
     return MarkovChain(sparse.state_labels, sparse.P.toarray(), sparse.absorbing)
 
 

@@ -72,22 +72,26 @@ class TimeSchedule:
             raise ScheduleOutOfRange(f"{self.name}: f({m}) = {value!r} outside [0, 1]")
         return value
 
-    def warn_if_nonstandard(self):
-        if abs(self.at(1) - 1.0) > 1e-12:
-            warnings.warn(
-                f"time schedule {self.name!r} has f(1) = {self.at(1):.6g}, not 1",
-                stacklevel=3,
-            )
-
     @classmethod
     def hyperbolic(cls, num: float = 4.0, shift: float = 3.0) -> "TimeSchedule":
-        """f(m) = num / (m + shift)."""
+        """f(m) = num / (m + shift); shift > -1 keeps every denominator positive."""
+        if not shift > -1.0:
+            raise InvalidParameter(f"hyper: shift must be > -1, got {shift:g}")
         return cls(lambda m: num / (m + shift), f"hyper:{num:g},{shift:g}")
 
     @classmethod
     def exponential2(cls, num: float = 4.0, shift: float = 2.0) -> "TimeSchedule":
-        """f(m) = num / (2^m + shift)."""
-        return cls(lambda m: num / (2.0**m + shift), f"exp2:{num:g},{shift:g}")
+        """f(m) = num / (2^m + shift); shift > -2 keeps every denominator positive.
+
+        Evaluated as (num / (1 + shift 2^-m)) 2^-m, which equals the plain
+        form for m <= 1023, where 2^m is a float, and reads 0.0 past
+        underflow instead of overflowing.
+        """
+        if not shift > -2.0:
+            raise InvalidParameter(f"exp2: shift must be > -2, got {shift:g}")
+        return cls(
+            lambda m: math.ldexp(num / (1.0 + shift * 2.0**-m), -m), f"exp2:{num:g},{shift:g}"
+        )
 
 
 @dataclass(frozen=True)
@@ -157,42 +161,50 @@ def _limit_profile(builder: ChainBuilder, split: SoberSplit, sched: TimeSchedule
     return None if solved is None else solved[0]
 
 
-def _series(builder, split, sched, start, rounds=0, tol=None, n_max=0):
-    """One forward pass over T_1, T_2, ..., carrying a matrix of start rows.
+def _series(builder, split, sched, horizons=(), tol=None, n_max=0):
+    """One forward pass over T_1, T_2, ..., for every start at once.
 
-    Row d of U_n = T_1 ... T_{n-1} (only row ``start``, or every row when
-    ``start`` is None) gives G_{n-1}(d) as its sum, which is both the
+    Row d of U_n = T_1 ... T_{n-1} sums to G_{n-1}(d), which is both the
     survival at horizon n - 1 and term n of the expectation series.  Each
     T_m is built once, sliced from the built P with the transient index
-    of round 1.  With ``tol`` None the pass stops at horizon ``rounds``;
-    otherwise it sums the expectation series, and each row stops by the
-    rule of ``time_varying_expectation`` on its own.
+    of round 1.  The pass records G at each of ``horizons``; with ``tol``
+    given it also sums the series, and each row stops by the rule of
+    ``time_varying_expectation`` on its own.
 
-    Returns (labels, G_rounds per row) when ``tol`` is None, and
-    otherwise (labels, a SeriesResult per row).
+    Returns the round-1 TransientSystem, {horizon: G per start}, and a
+    SeriesResult per start, or None when ``tol`` is None.
     """
+    for rounds in horizons:
+        if rounds < 0:
+            raise InvalidParameter(f"rounds must be >= 0, got {rounds}")
+    if tol is not None and tol <= 0:
+        raise InvalidParameter(f"tol must be > 0, got {tol}")
+    if tol is not None and n_max < 1:
+        raise InvalidParameter(f"n_max must be >= 1, got {n_max}")
+    if abs(sched.at(1) - 1.0) > 1e-12:
+        # stacklevel 3: the caller of the public function that called here
+        warnings.warn(
+            f"time schedule {sched.name!r} has f(1) = {sched.at(1):.6g}, not 1", stacklevel=3
+        )
     profile = _limit_profile(builder, split, sched) if tol is not None else None
     first_chain = builder(split.spinner(sched.at(1)))
     first = chain_mod.extract_transient(first_chain)
     keep = [i for i in range(first_chain.n_states) if i not in first_chain.absorbing]
     ix = np.ix_(keep, keep)
-    if start is None:
-        labels, U = first.labels, np.eye(first.n_transient)
-    else:
-        i = first.index(start)
-        labels, U = (first.labels[i],), np.eye(first.n_transient)[[i]]
+    k = first.n_transient
+    U = np.eye(k)
+    G = U.sum(axis=1)
+    survival = {0: G} if 0 in horizons else {}
 
-    k = len(labels)
     active = profile is not None
     pending = np.full(k, active)
     total = np.zeros(k)
     stop_n, stop_total, stop_tail = np.zeros(k, dtype=int), np.zeros(k), np.zeros(k)
-    last = rounds if tol is None else 0
+    last = max(horizons, default=0)
     prev_t = sched.at(1)
     n = 0
     while n < last or active:
         n += 1
-        term = U.sum(axis=1)
         if n == 1:
             T = first.T
         else:
@@ -205,6 +217,9 @@ def _series(builder, split, sched, start, rounds=0, tol=None, n_max=0):
                 raise InvalidParameter("builder changed the absorbing set across rounds")
             T = built.P[ix]
         U = U @ T
+        term, G = G, U.sum(axis=1)
+        if n in horizons:
+            survival[n] = G
         if active:
             total += term
             tail = U @ profile
@@ -215,46 +230,31 @@ def _series(builder, split, sched, start, rounds=0, tol=None, n_max=0):
                 active = pending.any()
 
     if tol is None:
-        return labels, U.sum(axis=1)
-    if profile is None:
-        return labels, [SeriesResult(INFINITE, 0, INFINITE, False)] * k
-    results = [
-        SeriesResult(float(v), int(m), float(tail), bool(tail < tol))
-        for v, m, tail in zip(stop_total, stop_n, stop_tail)
-    ]
-    return labels, results
-
-
-def _check_rounds(rounds):
-    if rounds < 0:
-        raise InvalidParameter(f"rounds must be >= 0, got {rounds}")
-
-
-def _check_series(tol, n_max):
-    if tol <= 0:
-        raise InvalidParameter(f"tol must be > 0, got {tol}")
-    if n_max < 1:
-        raise InvalidParameter(f"n_max must be >= 1, got {n_max}")
+        results = None
+    elif profile is None:
+        results = [SeriesResult(INFINITE, 0, INFINITE, False)] * k
+    else:
+        results = [
+            SeriesResult(float(v), int(m), float(tail), bool(tail < tol))
+            for v, m, tail in zip(stop_total, stop_n, stop_tail)
+        ]
+    return first, survival, results
 
 
 def time_varying_survival_all(
     builder: ChainBuilder, split: SoberSplit, sched: TimeSchedule, rounds: int
 ) -> dict[str, float]:
     """G_M(d) for every start d of the round-indexed chain family T_1 ... T_M."""
-    _check_rounds(rounds)
-    sched.warn_if_nonstandard()
-    labels, survival = _series(builder, split, sched, None, rounds)
-    return dict(zip(labels, survival.tolist()))
+    first, survival, _ = _series(builder, split, sched, (rounds,))
+    return dict(zip(first.labels, survival[rounds].tolist()))
 
 
 def time_varying_survival(
     builder: ChainBuilder, split: SoberSplit, sched: TimeSchedule, d, rounds: int
 ) -> float:
-    """G_M(d) for the round-indexed chain family T_1 ... T_M."""
-    _check_rounds(rounds)
-    sched.warn_if_nonstandard()
-    _, survival = _series(builder, split, sched, d, rounds)
-    return float(survival[0])
+    """G_M(d) for the round-indexed chain family T_1 ... T_M: row d of the all-starts pass."""
+    first, survival, _ = _series(builder, split, sched, (rounds,))
+    return float(survival[rounds][first.index(d)])
 
 
 def time_varying_expectation_all(
@@ -265,10 +265,8 @@ def time_varying_expectation_all(
     n_max: int = 10000,
 ) -> dict[str, SeriesResult]:
     """``time_varying_expectation`` for every start, in one pass."""
-    _check_series(tol, n_max)
-    sched.warn_if_nonstandard()
-    labels, results = _series(builder, split, sched, None, tol=tol, n_max=n_max)
-    return dict(zip(labels, results))
+    first, _, results = _series(builder, split, sched, tol=tol, n_max=n_max)
+    return dict(zip(first.labels, results))
 
 
 def time_varying_expectation(
@@ -288,12 +286,10 @@ def time_varying_expectation(
     round already played at the limiting tipsiness); we stop when both
     that estimate and the current term fall below ``tol``.  When the
     limiting chain is not absorbing the series diverges and the result
-    is INFINITE outright.
+    is INFINITE outright.  Row d of the all-starts pass.
     """
-    _check_series(tol, n_max)
-    sched.warn_if_nonstandard()
-    _, results = _series(builder, split, sched, d, tol=tol, n_max=n_max)
-    return results[0]
+    first, _, results = _series(builder, split, sched, tol=tol, n_max=n_max)
+    return results[first.index(d)]
 
 
 def distance_cycle_chain(

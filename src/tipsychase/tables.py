@@ -182,25 +182,24 @@ def _split(cell):
 
 
 def _compute_time(cells, schedule):
+    """One forward pass per parameter set and E term cap; every G cell reads any of them."""
     builder = lambda s: families.cycle_chain(6, s)
     out = {}
     for group in _by_params(cells).values():
         split = _split(group[0])
-        survival, expectation = {}, {}  # rounds / term count -> label -> result
-        for cell in group:
-            if cell.measure == "G":
-                if cell.rounds not in survival:
-                    survival[cell.rounds] = schedules.time_varying_survival_all(
-                        builder, split, schedule, cell.rounds
-                    )
-                out[cell.key] = survival[cell.rounds][cell.start]
-            else:
-                n_max = cell.n_terms or 3000
-                if n_max not in expectation:
-                    expectation[n_max] = schedules.time_varying_expectation_all(
-                        builder, split, schedule, tol=1e-10, n_max=n_max
-                    )
-                out[cell.key] = expectation[n_max][cell.start].value
+        horizons = [cell.rounds for cell in group if cell.measure == "G"]
+        cap = {cell.key: cell.n_terms or 3000 for cell in group if cell.measure == "E"}
+        for n_max in set(cap.values()) or {None}:
+            tol = None if n_max is None else 1e-10
+            first, survival, expectation = schedules._series(
+                builder, split, schedule, horizons, tol, n_max
+            )
+            for cell in group:
+                i = first.index(cell.start)
+                if cell.measure == "G":
+                    out[cell.key] = float(survival[cell.rounds][i])
+                elif cap[cell.key] == n_max:
+                    out[cell.key] = expectation[i].value
     return out
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tipsychase import chain, cli, graphs, joint, montecarlo
+from tipsychase import chain, cli, families, graphs, joint, montecarlo
 
 
 def run_cli(argv, capsys):
@@ -108,6 +108,50 @@ class TestAnalyze:
         assert float(d1["G5"]) == pytest.approx(0.2917, abs=5e-4)
         assert float(d1["E"]) == pytest.approx(5.456, abs=5e-3)
 
+    def test_time_schedule_walks_the_rounds_once(self, capsys, monkeypatch):
+        built = []
+        cycle_chain = families.cycle_chain
+
+        def counting(n, s):
+            built.append(s.t)
+            return cycle_chain(n, s)
+
+        monkeypatch.setattr(families, "cycle_chain", counting)
+        code, out, _ = run_cli(
+            ["analyze", "--family", "cycle", "--n", "6", "--schedule", "hyper:4,3",
+             "--robber-share", "0.5", "--rounds", "5,10,50", "--format", "csv"],
+            capsys,
+        )
+        assert code == 0
+        stop = max(int(row["terms"]) for row in rows_from_csv(out))
+        # the limiting chain, then T_m once for each m up to max(50, the series stop)
+        assert stop == 214 and len(built) == 1 + stop
+
+    def test_exp2_schedule_past_round_1023(self, capsys):
+        # the share-0.9 series is still open at round 1024, where 2.0**m overflows
+        code, out, err = run_cli(
+            ["analyze", "--family", "cycle", "--n", "6", "--schedule", "exp2",
+             "--robber-share", "0.9", "--rounds", "5", "--format", "csv"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert [row["terms"] for row in rows_from_csv(out)] == ["2000"] * 3
+
+    def test_krylov_breakdown_is_one_error_line(self, capsys, tmp_path):
+        # BiCGSTAB breaks down on the 100-cycle, whose 9,900-state dense fallback
+        # is over the cap; its overflow stays out of stderr (and out of pytest's
+        # RuntimeWarning-as-error filter)
+        path = tmp_path / "cycle100.txt"
+        path.write_text("100 100\n" + "".join(f"{i} {(i + 1) % 100}\n" for i in range(100)))
+        code, out, err = run_cli(
+            ["analyze", "--graph-file", str(path), "--cop", "0", "--robber", "50",
+             "--c", "0.3", "--r", "0.3", "--tc", "0.2", "--tr", "0.2"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == ("error: GraphTooLarge: dense fallback solve of I - T would take "
+                       "0.784 GB, over the cap of 0.537 GB\n")
+
     def test_distance_schedule(self, capsys):
         code, out, _ = run_cli(
             ["analyze", "--family", "tree", "--delta", "4", "--max-dist", "10",
@@ -175,6 +219,22 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+
+@pytest.mark.parametrize(
+    "extra,line",
+    [
+        (["--schedule", "hyper:4,-1", "--robber-share", "0.5"],
+         "error: InvalidParameter: hyper: shift must be > -1, got -1"),
+        (["--schedule", "exp2:4,-2", "--robber-share", "0.5"],
+         "error: InvalidParameter: exp2: shift must be > -2, got -2"),
+        (["--c", "0.3", "--r", "0.3", "--t", "0.4", "--digits", "-1"],
+         "error: --digits must be >= 0, got -1"),
+    ],
+)
+def test_input_that_used_to_raise_is_refused(capsys, extra, line):
+    code, out, err = run_cli(["analyze", "--family", "cycle", "--n", "6"] + extra, capsys)
+    assert (code, out, err) == (2, "", line + "\n")
 
 
 class TestFormats:

@@ -22,7 +22,7 @@ VALUES = [
     "-1", "0", "1", "2", "3", "0.5", "0.25", "1.5", "-0.5", "nan", "inf", "1e-300",
     "x", "", "cycle", "petersen", "friendship", "torus7", "tree", "hyper:2,1",
     "hyper:abc", "exp2:1", "linear", "exp12", "hyper:", "1,x", "(1,2)", "1cc",
-    "table", "csv", "json", "/nonexistent",
+    "table", "csv", "json", "/nonexistent", "hyper:1,-1", "exp2:1,-2",
 ]
 # Valid command lines that the fuzzer edits, so that it reaches past the
 # parser; a simulate run is bounded first, and a later fuzzed --trials or

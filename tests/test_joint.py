@@ -71,13 +71,19 @@ class TestBuildJointChain:
             s = random_spinner4(rng)
             chain.validate(joint.build_joint_chain(g, s, joint.standard_rules()))
 
-    def test_state_cap(self):
-        g = graphs.cycle_graph(12)
-        with pytest.raises(GraphTooLarge):
-            joint.build_joint_chain(
-                g, families.SpinnerFour(0.25, 0.25, 0.25, 0.25),
-                joint.standard_rules(), state_cap=100,
-            )
+    def test_state_cap(self, monkeypatch):
+        # 1,001 vertices give 1,002,001 joint states: the smallest cycle past the cap
+        g = graphs.cycle_graph(1001)
+        message = "^1002001 joint states exceed the cap of 1000000$"
+        s = families.SpinnerFour(0.25, 0.25, 0.25, 0.25)
+
+        def no_tables(*args):
+            raise AssertionError("move tables built before the state cap")
+
+        monkeypatch.setattr(joint, "_move_tables", no_tables)
+        for build in (joint.build_joint_chain, joint.sparse_joint_chain):
+            with pytest.raises(GraphTooLarge, match=message):
+                build(g, s, joint.standard_rules())
 
     def test_dense_byte_cap_refuses_before_allocating(self, monkeypatch):
         # 40,000 states pass the state cap, but a dense P would take 12.8 GB

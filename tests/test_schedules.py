@@ -44,6 +44,23 @@ class TestScheduleTypes:
         s = schedules.SoberSplit(0.3).spinner(0.4)
         assert (s.r, s.c) == (pytest.approx(0.18), pytest.approx(0.42))
 
+    def test_exp2_past_round_1023(self):
+        # 2.0**1024 overflows; the scaled form matches the plain one below it
+        for num, shift in ((4.0, 2.0), (1.0, -1.5), (0.3, 7.1)):
+            sched = schedules.TimeSchedule.exponential2(num, shift)
+            assert all(sched.fn(m) == num / (2.0**m + shift) for m in range(1, 1024))
+            assert sched.fn(1024) == math.ldexp(num, -1024)
+            assert sched.fn(1100) == 0.0
+
+    @pytest.mark.parametrize("token,message", [
+        ("hyper:4,-1", "hyper: shift must be > -1, got -1"),
+        ("hyper:4,nan", "hyper: shift must be > -1, got nan"),
+        ("exp2:4,-2", "exp2: shift must be > -2, got -2"),
+    ])
+    def test_shift_that_zeroes_a_denominator_refused(self, token, message):
+        with pytest.raises(InvalidParameter, match=f"^{message}$"):
+            schedules.parse_schedule(token)
+
     def test_parse_schedule_tokens(self):
         assert isinstance(schedules.parse_schedule("hyper:4,3"), schedules.TimeSchedule)
         assert isinstance(schedules.parse_schedule("exp2:4,2"), schedules.TimeSchedule)
@@ -334,7 +351,7 @@ class TestWholeVectorSeries:
             got = schedules.time_varying_survival_all(builder, split, sched, rounds)
             for d, g in got.items():
                 assert_close(g, per_label_survival(builder, split, sched, d, rounds))
-                assert_close(schedules.time_varying_survival(builder, split, sched, d, rounds), g)
+                assert schedules.time_varying_survival(builder, split, sched, d, rounds) == g
 
     @pytest.mark.parametrize("family,sched,share", SERIES_CASES)
     def test_expectation_matches_per_label_loop(self, family, sched, share):
@@ -347,8 +364,20 @@ class TestWholeVectorSeries:
                 assert_close(res.truncation_bound, want.truncation_bound)
                 assert (res.terms_used, res.converged) == (want.terms_used, want.converged)
                 single = schedules.time_varying_expectation(builder, split, sched, d, 1e-10, n_max)
-                assert (single.terms_used, single.converged) == (res.terms_used, res.converged)
-                assert_close(single.value, res.value)
+                assert single == res
+
+    @pytest.mark.parametrize("family,sched,share", SERIES_CASES)
+    def test_one_pass_gives_survival_and_expectation(self, family, sched, share):
+        builder, split = FAMILY_BUILDERS[family], schedules.SoberSplit(share)
+        first, survival, results = schedules._series(
+            builder, split, sched, (0, 5, 30), tol=1e-10, n_max=400
+        )
+        assert list(survival) == [0, 5, 30]
+        for rounds, g in survival.items():
+            alone = schedules.time_varying_survival_all(builder, split, sched, rounds)
+            assert dict(zip(first.labels, g.tolist())) == alone
+        alone = schedules.time_varying_expectation_all(builder, split, sched, 1e-10, 400)
+        assert dict(zip(first.labels, results)) == alone
 
     def test_each_round_built_once(self):
         built = []
