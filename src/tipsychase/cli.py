@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -264,11 +265,11 @@ def _distance_chain(args, split, sched):
 def _time_varying_rows(args, split, sched, rounds_list):
     if args.family not in ("cycle", "petersen", "torus7", "tree"):
         raise ConfigError("time schedules apply to --family cycle, petersen, torus7, or tree")
-    first, survival, expectation = schedules._series(
+    sober, survival, expectation = schedules._series(
         _family_builder(args), split, sched, rounds_list, tol=1e-9, n_max=args.terms
     )
     rows = []
-    for i, (label, result) in enumerate(zip(first.labels, expectation)):
+    for i, (label, result) in enumerate(zip(sober.labels, expectation)):
         row = {"start": label}
         for m in rounds_list:
             row[f"G{m}"] = float(survival[m][i])
@@ -494,7 +495,9 @@ def main(argv=None) -> int:
     try:
         if args.digits is not None and args.digits < 0:
             raise ConfigError(f"--digits must be >= 0, got {args.digits}")
-        return args.fn(args)
+        with warnings.catch_warnings():  # a library warning is one note line
+            warnings.showwarning = lambda message, *_: print(f"note: {message}", file=sys.stderr)
+            return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,8 @@ and the expected game length is the series of its partial products,
 
 whose terms are the survival probabilities G_{n-1}(d).  The series has
 no closed form, so it is summed with an explicit stopping rule (see
-``time_varying_expectation``).
+``time_varying_expectation``).  Every chain of this game is affine in
+the spinner, so T_m = (1 - t_m) T(0) + t_m T(1): a pass builds two chains.
 
 Distance-varying: state d of a cycle or tree chain plays with
 t_d = delta(d); the chain itself is static, so the ordinary matrix
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -36,6 +37,8 @@ from . import families
 from .errors import InvalidParameter, ScheduleOutOfRange
 from .families import SpinnerThree
 
+# The time-varying series build it at t = 0 and t = 1 only, so its P must be
+# affine in the spinner, as every family's is, and its absorbing set fixed.
 ChainBuilder = Callable[[SpinnerThree], MarkovChain]
 
 
@@ -150,28 +153,18 @@ class SeriesResult:
         return math.isinf(self.value)
 
 
-def _limit_profile(builder: ChainBuilder, split: SoberSplit, sched: TimeSchedule):
-    """Expected-remaining-rounds vector of the limiting chain, or None.
-
-    None where the limiting chain's E reads infinite, so the series
-    cannot converge (the classic case: the whole sober mass on the
-    robber, who then flees forever once sobered up).
-    """
-    solved = chain_mod.extract_transient(builder(split.spinner(sched.limit))).solution
-    return None if solved is None else solved[0]
-
-
-def _series(builder, split, sched, horizons=(), tol=None, n_max=0):
+def _series(builder, split, sched, horizons=(), tol=None, n_max=0, start=None):
     """One forward pass over T_1, T_2, ..., for every start at once.
 
     Row d of U_n = T_1 ... T_{n-1} sums to G_{n-1}(d), which is both the
-    survival at horizon n - 1 and term n of the expectation series.  Each
-    T_m is built once, sliced from the built P with the transient index
-    of round 1.  The pass records G at each of ``horizons``; with ``tol``
-    given it also sums the series, and each row stops by the rule of
-    ``time_varying_expectation`` on its own.
+    survival at horizon n - 1 and term n of the expectation series.  T_m
+    mixes the all-sober and the all-tipsy chain, each built once, at f(m),
+    and the limiting chain mixes them at ``sched.limit``.  The pass records
+    G at each of ``horizons``; with ``tol`` given it also sums the series,
+    and each row stops by the rule of ``time_varying_expectation`` on its
+    own.  A ``start`` label is resolved before the walk.
 
-    Returns the round-1 TransientSystem, {horizon: G per start}, and a
+    Returns the all-sober TransientSystem, {horizon: G per start}, and a
     SeriesResult per start, or None when ``tol`` is None.
     """
     for rounds in horizons:
@@ -186,12 +179,21 @@ def _series(builder, split, sched, horizons=(), tol=None, n_max=0):
         warnings.warn(
             f"time schedule {sched.name!r} has f(1) = {sched.at(1):.6g}, not 1", stacklevel=3
         )
-    profile = _limit_profile(builder, split, sched) if tol is not None else None
-    first_chain = builder(split.spinner(sched.at(1)))
-    first = chain_mod.extract_transient(first_chain)
-    keep = [i for i in range(first_chain.n_states) if i not in first_chain.absorbing]
-    ix = np.ix_(keep, keep)
-    k = first.n_transient
+    ends = [builder(split.spinner(t)) for t in (0.0, 1.0)]
+    if len({(built.n_states, built.absorbing) for built in ends}) > 1:
+        raise InvalidParameter("builder changed the absorbing set across rounds")
+    sober, tipsy = map(chain_mod.extract_transient, ends)
+    if start is not None:
+        sober.index(start)  # raises InvalidState before the walk
+    solved = None
+    if tol is not None:
+        lim = split.spinner(sched.limit).t  # refuses a limit outside [0, 1]
+        solved = replace(
+            sober, T=(1.0 - lim) * sober.T + lim * tipsy.T, R=(1.0 - lim) * sober.R + lim * tipsy.R
+        ).solution
+    # None where the limiting chain's E reads infinite, so the series cannot converge
+    profile = None if solved is None else solved[0]
+    k = sober.n_transient
     U = np.eye(k)
     G = U.sum(axis=1)
     survival = {0: G} if 0 in horizons else {}
@@ -205,18 +207,11 @@ def _series(builder, split, sched, horizons=(), tol=None, n_max=0):
     n = 0
     while n < last or active:
         n += 1
-        if n == 1:
-            T = first.T
-        else:
-            t_n = sched.at(n)
-            if n <= last and t_n > prev_t + 1e-12:
-                warnings.warn(f"time schedule {sched.name!r} increases at m={n}")
-            prev_t = t_n
-            built = builder(split.spinner(t_n))
-            if built.n_states != first_chain.n_states or built.absorbing != first_chain.absorbing:
-                raise InvalidParameter("builder changed the absorbing set across rounds")
-            T = built.P[ix]
-        U = U @ T
+        t_n = sched.at(n)
+        if n <= last and t_n > prev_t + 1e-12:
+            warnings.warn(f"time schedule {sched.name!r} increases at m={n}")
+        prev_t = t_n
+        U = U @ ((1.0 - t_n) * sober.T + t_n * tipsy.T)
         term, G = G, U.sum(axis=1)
         if n in horizons:
             survival[n] = G
@@ -238,23 +233,23 @@ def _series(builder, split, sched, horizons=(), tol=None, n_max=0):
             SeriesResult(float(v), int(m), float(tail), bool(tail < tol))
             for v, m, tail in zip(stop_total, stop_n, stop_tail)
         ]
-    return first, survival, results
+    return sober, survival, results
 
 
 def time_varying_survival_all(
     builder: ChainBuilder, split: SoberSplit, sched: TimeSchedule, rounds: int
 ) -> dict[str, float]:
-    """G_M(d) for every start d of the round-indexed chain family T_1 ... T_M."""
-    first, survival, _ = _series(builder, split, sched, (rounds,))
-    return dict(zip(first.labels, survival[rounds].tolist()))
+    """G_M(d) for every start d of T_1 ... T_M; the builder must be affine in the spinner."""
+    sober, survival, _ = _series(builder, split, sched, (rounds,))
+    return dict(zip(sober.labels, survival[rounds].tolist()))
 
 
 def time_varying_survival(
     builder: ChainBuilder, split: SoberSplit, sched: TimeSchedule, d, rounds: int
 ) -> float:
     """G_M(d) for the round-indexed chain family T_1 ... T_M: row d of the all-starts pass."""
-    first, survival, _ = _series(builder, split, sched, (rounds,))
-    return float(survival[rounds][first.index(d)])
+    sober, survival, _ = _series(builder, split, sched, (rounds,), start=d)
+    return float(survival[rounds][sober.index(d)])
 
 
 def time_varying_expectation_all(
@@ -265,8 +260,8 @@ def time_varying_expectation_all(
     n_max: int = 10000,
 ) -> dict[str, SeriesResult]:
     """``time_varying_expectation`` for every start, in one pass."""
-    first, _, results = _series(builder, split, sched, tol=tol, n_max=n_max)
-    return dict(zip(first.labels, results))
+    sober, _, results = _series(builder, split, sched, tol=tol, n_max=n_max)
+    return dict(zip(sober.labels, results))
 
 
 def time_varying_expectation(
@@ -286,10 +281,11 @@ def time_varying_expectation(
     round already played at the limiting tipsiness); we stop when both
     that estimate and the current term fall below ``tol``.  When the
     limiting chain is not absorbing the series diverges and the result
-    is INFINITE outright.  Row d of the all-starts pass.
+    is INFINITE outright.  Row d of the all-starts pass; ``builder``
+    must be affine in the spinner (see ``ChainBuilder``).
     """
-    first, _, results = _series(builder, split, sched, tol=tol, n_max=n_max)
-    return results[first.index(d)]
+    sober, _, results = _series(builder, split, sched, tol=tol, n_max=n_max, start=d)
+    return results[sober.index(d)]
 
 
 def distance_cycle_chain(
@@ -307,26 +303,22 @@ def distance_cycle_chain(
     the bundled reference tables did.  The two agree at robber_share 0
     and drift apart as the robber's sober share grows.
     """
-    if n < 3:
-        raise InvalidParameter(f"cycle needs n >= 3, got {n}")
     if boundary not in ("matrix", "tables"):
         raise InvalidParameter(f"boundary must be 'matrix' or 'tables', got {boundary!r}")
-    sched.warn_if_nonstandard()
     m = n // 2
     last = m if boundary == "matrix" or m == 1 else m - 1
-    return families._cycle(n, lambda d: split.spinner(sched.at(min(d, last))))
+    built = families._cycle(n, lambda d: split.spinner(sched.at(min(d, last))))
+    sched.warn_if_nonstandard()
+    return built
 
 
 def distance_tree_chain(
     degree: int, call_off: int, split: SoberSplit, sched: DistanceSchedule
 ) -> MarkovChain:
     """Tree distance chain with per-state tipsiness; both ends absorb."""
-    if degree < 2:
-        raise InvalidParameter(f"tree degree must be >= 2, got {degree}")
-    if call_off < 2:
-        raise InvalidParameter(f"call-off distance must be >= 2, got {call_off}")
+    built = families._tree(degree, call_off, lambda d: split.spinner(sched.at(d)))
     sched.warn_if_nonstandard()
-    return families._tree(degree, call_off, lambda d: split.spinner(sched.at(d)))
+    return built
 
 
 _ARG_COUNTS = {"hyper": 2, "exp2": 2, "linear": 0, "exp12": 1}

@@ -191,11 +191,11 @@ def _compute_time(cells, schedule):
         cap = {cell.key: cell.n_terms or 3000 for cell in group if cell.measure == "E"}
         for n_max in set(cap.values()) or {None}:
             tol = None if n_max is None else 1e-10
-            first, survival, expectation = schedules._series(
+            sober, survival, expectation = schedules._series(
                 builder, split, schedule, horizons, tol, n_max
             )
             for cell in group:
-                i = first.index(cell.start)
+                i = sober.index(cell.start)
                 if cell.measure == "G":
                     out[cell.key] = float(survival[cell.rounds][i])
                 elif cap[cell.key] == n_max:

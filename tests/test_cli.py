@@ -124,8 +124,17 @@ class TestAnalyze:
         )
         assert code == 0
         stop = max(int(row["terms"]) for row in rows_from_csv(out))
-        # the limiting chain, then T_m once for each m up to max(50, the series stop)
-        assert stop == 214 and len(built) == 1 + stop
+        # every round, up to max(50, the series stop), mixes these two chains
+        assert stop == 214 and built == [0.0, 1.0]
+
+    def test_library_warning_is_one_note_line(self, capsys):
+        code, _, err = run_cli(
+            ["analyze", "--family", "cycle", "--n", "6", "--schedule", "hyper:4,4",
+             "--robber-share", "0.5", "--rounds", "3"],
+            capsys,
+        )
+        assert code == 0
+        assert err == "note: time schedule 'hyper:4,4' has f(1) = 0.8, not 1\n"
 
     def test_exp2_schedule_past_round_1023(self, capsys):
         # the share-0.9 series is still open at round 1024, where 2.0**m overflows

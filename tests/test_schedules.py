@@ -6,7 +6,7 @@ import pytest
 
 from conftest import FAMILY_BUILDERS, random_spinner3
 from tipsychase import chain, families, schedules
-from tipsychase.errors import InvalidParameter, ScheduleOutOfRange
+from tipsychase.errors import InvalidParameter, InvalidState, ScheduleOutOfRange
 
 
 def cycle6(s):
@@ -292,6 +292,21 @@ class TestDistanceTreeChain:
                 chain.validate(c)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda sp, sc: schedules.distance_cycle_chain(2, sp, sc), "cycle needs n >= 3, got 2"),
+    (lambda sp, sc: schedules.distance_tree_chain(1, 5, sp, sc), "tree degree must be >= 2, got 1"),
+    (lambda sp, sc: schedules.distance_tree_chain(3, 1, sp, sc),
+     "call-off distance must be >= 2, got 1"),
+])
+def test_distance_chain_bad_argument_refused_before_warning(build, message):
+    nonstandard = schedules.DistanceSchedule(lambda d: 0.5, "half")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidParameter, match=f"^{message}$"):
+            build(schedules.SoberSplit(0.5), nonstandard)
+    assert caught == []
+
+
 SERIES_TOL = 1e-12  # relative to max(1, |value|): the vector forms reorder float sums
 
 
@@ -326,6 +341,38 @@ def per_label_expectation(builder, split, sched, d, tol, n_max):
         if term < tol and tail < tol:
             return schedules.SeriesResult(total, n, tail, True)
     return schedules.SeriesResult(total, n_max, tail, tail < tol)
+
+
+def per_round_series(builder, split, sched, horizons, tol, n_max):
+    """The all-starts pass as it was before the mixture: T_m sliced from a chain built for m."""
+    solved = chain.extract_transient(builder(split.spinner(sched.limit))).solution
+    profile = None if solved is None else solved[0]
+    k = per_round_transient(builder, split, sched, 1).n_transient
+    U = np.eye(k)
+    G = U.sum(axis=1)
+    survival = {0: G} if 0 in horizons else {}
+    pending = np.full(k, profile is not None)
+    total = np.zeros(k)
+    stop_n, stop_total, stop_tail = np.zeros(k, dtype=int), np.zeros(k), np.zeros(k)
+    n = 0
+    while n < max(horizons) or pending.any():
+        n += 1
+        U = U @ per_round_transient(builder, split, sched, n).T
+        term, G = G, U.sum(axis=1)
+        if n in horizons:
+            survival[n] = G
+        if pending.any():
+            total += term
+            tail = U @ profile
+            stop = pending & (np.maximum(term, tail) < tol) if n < n_max else pending
+            stop_n[stop], stop_total[stop], stop_tail[stop] = n, total[stop], tail[stop]
+            pending = pending & ~stop
+    if profile is None:
+        return survival, [schedules.SeriesResult(math.inf, 0, math.inf, False)] * k
+    return survival, [
+        schedules.SeriesResult(float(v), int(m), float(tail), bool(tail < tol))
+        for v, m, tail in zip(stop_total, stop_n, stop_tail)
+    ]
 
 
 def assert_close(got, want):
@@ -380,6 +427,7 @@ class TestWholeVectorSeries:
         assert dict(zip(first.labels, results)) == alone
 
     def test_each_round_built_once(self):
+        # every round mixes the all-sober and the all-tipsy chain, built once each
         built = []
 
         def counting(s):
@@ -388,13 +436,58 @@ class TestWholeVectorSeries:
 
         split, sched = schedules.SoberSplit(0.5), schedules.TimeSchedule.hyperbolic()
         schedules.time_varying_survival_all(counting, split, sched, 12)
-        assert built == [sched.at(m) for m in range(1, 13)]
+        assert built == [0.0, 1.0]
 
         built.clear()
         expectation = schedules.time_varying_expectation_all(counting, split, sched, 1e-10, 1000)
-        rounds = max(res.terms_used for res in expectation.values())
-        # the limiting chain, then T_1 ... T_rounds
-        assert built == [sched.limit] + [sched.at(m) for m in range(1, rounds + 1)]
+        assert max(res.terms_used for res in expectation.values()) > 100
+        assert built == [0.0, 1.0]
+
+    @pytest.mark.parametrize("family,sched,share", [
+        (family, sched, share)
+        for family in ("cycle6", "cycle7", "torus7", "tree")
+        for sched in (schedules.TimeSchedule.hyperbolic(), schedules.TimeSchedule.exponential2())
+        for share in (0.0, 0.6, 1.0)
+    ])
+    def test_mixture_equals_per_round_builds(self, family, sched, share):
+        # these families write their rows with t/2 and t/4, so the mixture is exact
+        builder, split = FAMILY_BUILDERS[family], schedules.SoberSplit(share)
+        horizons = (0, 1, 5, 30)
+        sober, survival, results = schedules._series(
+            builder, split, sched, horizons, tol=1e-10, n_max=400
+        )
+        want_survival, want_results = per_round_series(builder, split, sched, horizons, 1e-10, 400)
+        assert sober.labels == per_round_transient(builder, split, sched, 1).labels
+        assert list(survival) == list(want_survival)
+        for rounds, g in survival.items():
+            np.testing.assert_array_equal(g, want_survival[rounds])
+        assert results == want_results
+
+    def test_limit_outside_unit_interval_refused(self):
+        sched = schedules.TimeSchedule(lambda m: 1.0 / m, "over", limit=1.5)
+        split = schedules.SoberSplit(0.5)
+        with pytest.raises(InvalidParameter, match=r"^tipsiness = 1\.5 is outside \[0, 1\]$"):
+            schedules.time_varying_expectation_all(cycle6, split, sched)
+        with pytest.raises(InvalidParameter, match=r"^tipsiness = 1\.5 is outside \[0, 1\]$"):
+            schedules.time_varying_expectation(cycle6, split, sched, "1")
+
+    @pytest.mark.parametrize("call", [
+        lambda sc: schedules.time_varying_survival(
+            families.petersen_chain, schedules.SoberSplit(0.9), sc, "bogus", 50),
+        lambda sc: schedules.time_varying_expectation(
+            families.petersen_chain, schedules.SoberSplit(0.9), sc, "bogus"),
+    ])
+    def test_bad_label_fails_before_the_walk(self, call):
+        hyper = schedules.TimeSchedule.hyperbolic()
+        asked = []
+
+        def recording(m):
+            asked.append(m)
+            return hyper.fn(m)
+
+        with pytest.raises(InvalidState, match="^no transient state labeled 'bogus'$"):
+            call(schedules.TimeSchedule(recording, "recording"))
+        assert set(asked) == {1}
 
     @pytest.mark.parametrize("call", [
         lambda b, sp, sc: schedules.time_varying_survival(b, sp, sc, "1", 3),
