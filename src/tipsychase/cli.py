@@ -22,7 +22,7 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import closedform, families, graphs, joint, montecarlo, schedules, tables
-from .errors import ConfigError, GameModelError, NotLumpable
+from .errors import ConfigError, GameModelError, InvalidParameter, NotLumpable
 
 INFINITE_TEXT = "Infinite"
 
@@ -161,9 +161,8 @@ def _arena(args):
         rules, lumping = joint.torus_rules(7, 7), lambda g: joint.torus_lumping(g, 7, 7)
     elif fam == "tree":
         delta, call_off = _need(args, "delta", "--delta"), _need(args, "max_dist", "--max-dist")
-        depth = args.depth if args.depth is not None else call_off + 4
-        size = graphs._check_tree(delta, depth), delta
-        build = lambda: graphs.truncated_tree(delta, depth)
+        size = graphs._check_tree(delta, call_off + 4), delta
+        build = lambda: graphs.truncated_tree(delta, call_off + 4)
     else:
         raise ConfigError("simulate needs --family or --graph-file")
     joint.check_move_tables(*size)
@@ -224,7 +223,8 @@ def cmd_analyze(args) -> int:
         split = schedules.SoberSplit(args.robber_share)
         if args.c is not None or args.t is not None:
             raise ConfigError("--schedule and a static spinner are mutually exclusive")
-        sched = _parse_schedule_for(args)
+        linear = args.schedule.partition(":")[0] == "linear"  # the schedule that reads the size
+        sched = schedules.parse_schedule(args.schedule, _max_distance(args) if linear else None)
         if isinstance(sched, schedules.TimeSchedule):
             rows = _time_varying_rows(args, split, sched, rounds_list)
         else:
@@ -242,24 +242,21 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _parse_schedule_for(args):
-    max_dist = None
-    if args.family == "cycle" and args.n is not None:
-        max_dist = args.n // 2
-    elif args.family == "tree":
-        max_dist = args.max_dist
-    return schedules.parse_schedule(args.schedule, max_distance=max_dist)
+def _max_distance(args):
+    """The largest distance of a cycle or tree family's chain; other families are refused."""
+    if args.family == "cycle":
+        return _need(args, "n", "--n") // 2
+    if args.family == "tree":
+        _need(args, "delta", "--delta")
+        return _need(args, "max_dist", "--max-dist")
+    raise ConfigError("distance schedules apply to --family cycle or tree")
 
 
 def _distance_chain(args, split, sched):
+    _max_distance(args)  # refuses the families and arguments a distance chain cannot take
     if args.family == "cycle":
-        return schedules.distance_cycle_chain(_need(args, "n", "--n"), split, sched)
-    if args.family == "tree":
-        return schedules.distance_tree_chain(
-            _need(args, "delta", "--delta"), _need(args, "max_dist", "--max-dist"),
-            split, sched,
-        )
-    raise ConfigError("distance schedules apply to --family cycle or tree")
+        return schedules.distance_cycle_chain(args.n, split, sched)
+    return schedules.distance_tree_chain(args.delta, args.max_dist, split, sched)
 
 
 def _time_varying_rows(args, split, sched, rounds_list):
@@ -380,6 +377,8 @@ def cmd_simulate(args) -> int:
 def cmd_closed_form(args) -> int:
     s = _spinner3(args)
     p = closedform.up_probability(args.delta, s)
+    if args.max_dist < 2:
+        raise InvalidParameter(f"call-off distance must be >= 2, got {args.max_dist}")
     rows = []
     for d in range(1, args.max_dist):
         row = {
@@ -457,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="lump the exact joint chain against the hand-built one")
     _add_family(p)
     _add_spinner(p)
-    _add_common(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("simulate", help="seeded Monte-Carlo simulation")
@@ -467,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cop", type=int, help="cop start vertex")
     p.add_argument("--robber", type=int, help="robber start vertex")
     p.add_argument("--start", help="start state label (e.g. 3, 1cc, (3,2))")
-    p.add_argument("--depth", type=int, help="truncation depth of the tree arena")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--max-rounds", dest="max_rounds", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
@@ -493,7 +490,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.digits is not None and args.digits < 0:
+        if getattr(args, "digits", None) is not None and args.digits < 0:
             raise ConfigError(f"--digits must be >= 0, got {args.digits}")
         with warnings.catch_warnings():  # a library warning is one note line
             warnings.showwarning = lambda message, *_: print(f"note: {message}", file=sys.stderr)

@@ -92,6 +92,7 @@ def _cycle(n: int, spinner_at) -> MarkovChain:
     if n < 3:
         raise InvalidParameter(f"cycle needs n >= 3, got {n}")
     m = n // 2
+    chain_mod.check_dense_size(m + 1, m + 1, "cycle chain P")
     P = np.zeros((m + 1, m + 1))
     P[0, 0] = 1.0
     for d in range(1, m):
@@ -208,6 +209,7 @@ def _tree(degree: int, call_off: int, spinner_at) -> MarkovChain:
         raise InvalidParameter(f"tree degree must be >= 2, got {degree}")
     if call_off < 2:
         raise InvalidParameter(f"call-off distance must be >= 2, got {call_off}")
+    chain_mod.check_dense_size(call_off + 1, call_off + 1, "tree chain P")
     P = np.zeros((call_off + 1, call_off + 1))
     P[0, 0] = 1.0
     P[call_off, call_off] = 1.0

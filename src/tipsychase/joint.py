@@ -307,27 +307,23 @@ class Lumping:
         class_of.flags.writeable = False
         object.__setattr__(self, "class_of", class_of)
 
-    def members(self, label: str) -> np.ndarray:
-        """Indices of the states in class ``label``, ascending."""
-        if label not in self.class_order:
-            return np.empty(0, dtype=np.intp)
-        return np.flatnonzero(self.class_of == self.class_order.index(label))
-
     def representative(self, label: str) -> int:
         """The first state of class ``label`` in pair order."""
-        members = self.members(label)
-        if not members.size:
-            raise InvalidParameter(f"no state in class {label!r}")
-        return int(members[0])
+        if label in self.class_order:
+            states = np.flatnonzero(self.class_of == self.class_order.index(label))
+            if states.size:
+                return int(states[0])
+        raise InvalidParameter(f"no state in class {label!r}")
 
 
 def lump(chain_joint: MarkovChain, lumping: Lumping) -> MarkovChain:
     """Aggregate the joint chain over the partition, requiring exactness.
 
-    Strong lumpability: within a class, every state's row must aggregate
-    to the same class-level distribution (within 1e-9); otherwise the
-    partition is not Markov-exact and NotLumpable reports the worst
-    offender.
+    Strong lumpability (Kemeny & Snell): with ``member`` the n x K one-hot
+    of the partition, P @ member must equal member @ P_lumped within 1e-9,
+    where row k of P_lumped is the aggregated row of class k's first state.
+    Every state is checked at once, and NotLumpable names the worst one.
+    ``member`` is a CSR array when P is one, so memory follows P's non-zeros.
     """
     n = chain_joint.n_states
     class_of = lumping.class_of
@@ -336,28 +332,31 @@ def lump(chain_joint: MarkovChain, lumping: Lumping) -> MarkovChain:
     K = len(lumping.class_order)
     if n and (class_of.min() < 0 or class_of.max() >= K):
         raise InvalidParameter("class index out of range")
+    first = np.full(K, n)
+    np.minimum.at(first, class_of, np.arange(n))
+    empty = np.flatnonzero(first == n)
+    if empty.size:
+        raise InvalidParameter(f"class {lumping.class_order[empty[0]]!r} has no members")
 
-    aggregated = chain_joint.P @ np.eye(K)[class_of]
-    absorbing_state = np.zeros(n, dtype=bool)
-    absorbing_state[list(chain_joint.absorbing)] = True
+    sparse = chain_mod._is_sparse(chain_joint.P)
+    if sparse:
+        import scipy.sparse
 
-    P_lumped = np.zeros((K, K))
-    absorbing = set()
-    for k, label in enumerate(lumping.class_order):
-        members = np.flatnonzero(class_of == k)
-        if not members.size:
-            raise InvalidParameter(f"class {label!r} has no members")
-        rows = aggregated[members]
-        spread = np.abs(rows - rows[0]).max(axis=1)
-        worst = int(np.argmax(spread))
-        if spread[worst] > LUMP_TOL:
-            pair = int(members[0]), int(members[worst])
-            raise NotLumpable(label, pair, float(spread[worst]))
-        P_lumped[k] = rows[0]
-        if absorbing_state[members].all():
-            absorbing.add(k)
+        member = scipy.sparse.eye_array(K, format="csr")[class_of]
+    else:
+        member = np.eye(K)[class_of]
+    aggregated = chain_joint.P @ member
+    lumped = aggregated[first]
+    error = abs(aggregated - member @ lumped)
+    worst, column = divmod(int(error.argmax()), K)
+    if error[worst, column] > LUMP_TOL:
+        k = class_of[worst]
+        raise NotLumpable(lumping.class_order[k], (int(first[k]), worst),
+                          float(error[worst, column]))
 
-    built = MarkovChain(tuple(lumping.class_order), P_lumped, frozenset(absorbing))
+    transient_members = np.bincount(np.delete(class_of, list(chain_joint.absorbing)), minlength=K)
+    built = MarkovChain(tuple(lumping.class_order), lumped.toarray() if sparse else lumped,
+                        frozenset(np.flatnonzero(transient_members == 0).tolist()))
     chain_mod.validate(built)
     return built
 

@@ -463,6 +463,9 @@ class TestSimulate:
 SPIN3 = ["--c", "0.3", "--r", "0.4", "--t", "0.3"]
 SPIN4 = ["--c", "0.3", "--r", "0.4", "--tc", "0.15", "--tr", "0.15"]
 TIME = ["--schedule", "hyper", "--robber-share", "0.5"]
+LINEAR = ["--schedule", "linear", "--robber-share", "0.5"]
+DISTANCE_ONLY = "distance schedules apply to --family cycle or tree"
+CALL_OFF = "InvalidParameter: call-off distance must be >= 2, got {}"
 
 
 @pytest.mark.parametrize(
@@ -490,6 +493,28 @@ TIME = ["--schedule", "hyper", "--robber-share", "0.5"]
          "--family tree needs --max-dist"),
         (["simulate", "--family", "tree", "--delta", "3", *SPIN3, "--start", "1"],
          "--family tree needs --max-dist"),
+        (["analyze", "--family", "torus7", *LINEAR], DISTANCE_ONLY),
+        (["analyze", "--family", "petersen", *LINEAR], DISTANCE_ONLY),
+        (["analyze", "--family", "friendship", "--n", "3", *LINEAR], DISTANCE_ONLY),
+        (["analyze", *LINEAR], DISTANCE_ONLY),
+        (["analyze", "--family", "torus7", "--schedule", "exp12", "--robber-share", "0.5"],
+         DISTANCE_ONLY),
+        (["analyze", "--family", "cycle", *LINEAR], "--family cycle needs --n"),
+        (["analyze", "--family", "tree", "--delta", "3", *LINEAR],
+         "--family tree needs --max-dist"),
+        *[(["closed-form", "--delta", "3", "--max-dist", d, *SPIN3], CALL_OFF.format(d))
+          for d in ("1", "0", "-3")],
+        (["analyze", "--family", "tree", "--delta", "3", "--max-dist", "1", *SPIN3],
+         CALL_OFF.format(1)),
+        # family chains are refused before their dense P is allocated
+        (["analyze", "--family", "cycle", "--n", "10000000", *SPIN3],
+         "GraphTooLarge: dense cycle chain P would take 2e+05 GB, over the cap of 0.537 GB"),
+        (["analyze", "--family", "cycle", "--n", "10000000", *TIME],
+         "GraphTooLarge: dense cycle chain P would take 2e+05 GB, over the cap of 0.537 GB"),
+        (["analyze", "--family", "tree", "--delta", "3", "--max-dist", "100000000", *LINEAR],
+         "GraphTooLarge: dense tree chain P would take 8e+07 GB, over the cap of 0.537 GB"),
+        (["analyze", "--family", "tree", "--delta", "3", "--max-dist", "100000000", *SPIN3],
+         "GraphTooLarge: dense tree chain P would take 8e+07 GB, over the cap of 0.537 GB"),
         # not a refusal: the 3-way spinner's tipsy mass is split evenly, as for the joint chain
         (["verify", "--family", "friendship", "--n", "3", *SPIN3], None),
     ],
@@ -501,6 +526,21 @@ def test_family_dispatch_refusals(capsys, argv, message):
         assert out.startswith(f"family={argv[2]} ") and out.endswith("-> ok\n")
     else:
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    # verify prints one fixed line, so it takes no output options
+    (["verify", "--family", "cycle", "--n", "8", *SPIN3], ["--format", "json"]),
+    (["verify", "--family", "cycle", "--n", "8", *SPIN3], ["--digits", "3"]),
+    # the tree arena's depth is call-off + 4; a shallower one made escape impossible
+    (["simulate", "--family", "tree", "--delta", "3", "--max-dist", "5", *SPIN3, "--start", "2",
+      "--trials", "10"], ["--depth", "3"]),
+])
+def test_removed_options_are_unknown(capsys, argv, flag):
+    with pytest.raises(SystemExit) as info:
+        cli.main([*argv, *flag])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy_module():

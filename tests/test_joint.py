@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -111,12 +113,12 @@ class TestLumping:
             g = graphs.cycle_graph(n)
             lumping = joint.distance_lumping(g)
             s = random_spinner3(rng)
-            lumped = joint.lump(
-                joint.build_joint_chain(g, s.as_four(), joint.standard_rules()), lumping
-            )
             hand = families.cycle_chain(n, s)
-            assert lumped.state_labels == hand.state_labels
-            assert np.abs(lumped.P - hand.P).max() < 1e-9
+            for build in (joint.build_joint_chain, joint.sparse_joint_chain):
+                lumped = joint.lump(build(g, s.as_four(), joint.standard_rules()), lumping)
+                assert lumped.state_labels == hand.state_labels
+                assert lumped.absorbing == hand.absorbing
+                assert np.abs(lumped.P - hand.P).max() < 1e-9
 
     def test_petersen_matches_hand_chain(self, rng):
         g = graphs.petersen_graph()
@@ -170,8 +172,33 @@ class TestLumping:
         # merge distances 1 and 2: not exact
         merged = np.array([0, 1, 1, 2])[good.class_of]
         bad = joint.Lumping(("0", "1", "3"), merged)
-        with pytest.raises(NotLumpable):
-            joint.lump(c, bad)
+        # dense reference: each state's aggregated row against its class's first state's
+        aggregated = c.P @ np.eye(3)[merged]
+        first = [int(np.flatnonzero(merged == k)[0]) for k in range(3)]
+        spread = [np.abs(aggregated[i] - aggregated[first[k]]).max() for i, k in enumerate(merged)]
+        worst = int(np.argmax(spread))
+        k = merged[worst]
+        for chain_joint in (c, joint.sparse_joint_chain(g, s.as_four(), joint.standard_rules())):
+            with pytest.raises(NotLumpable) as info:
+                joint.lump(chain_joint, bad)
+            assert info.value.class_label == bad.class_order[k]
+            assert info.value.state_pair == (first[k], worst)
+            assert info.value.max_discrepancy == spread[worst]
+
+    def test_lump_memory_follows_the_nonzeros(self):
+        g = graphs.cycle_graph(300)
+        s = families.SpinnerThree(c=0.3, r=0.3, t=0.4)
+        c = joint.sparse_joint_chain(g, s.as_four(), joint.standard_rules())
+        lumping = joint.distance_lumping(g)
+        csr_bytes = c.P.data.nbytes + c.P.indices.nbytes + c.P.indptr.nbytes
+        tracemalloc.start()
+        try:
+            joint.lump(c, lumping)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a dense 90,000 x 151 one-hot alone would take over 16x P's CSR bytes
+        assert peak < 4 * csr_bytes
 
     def test_lumping_must_cover_chain(self):
         g = graphs.cycle_graph(4)
@@ -228,14 +255,16 @@ def test_lumping_matches_per_pair_labels(name, make_graph, make_lumping, label):
     assert got.tolist() == want
     with pytest.raises(InvalidParameter, match="not class indices"):
         joint.Lumping(lumping.class_order, tuple(want))
+    c = joint.sparse_joint_chain(g, families.SpinnerFour(0.25, 0.25, 0.25, 0.25),
+                                 joint.standard_rules())
     for cls in lumping.class_order:  # the first pair in row-major order
         if cls in want:
             assert lumping.representative(cls) == want.index(cls)
         else:  # "2" on the one-triangle friendship graph
             with pytest.raises(InvalidParameter, match=f"no state in class '{cls}'"):
                 lumping.representative(cls)
-    c = joint.sparse_joint_chain(g, families.SpinnerFour(0.25, 0.25, 0.25, 0.25),
-                                 joint.standard_rules())
+            with pytest.raises(InvalidParameter, match=f"^class '{cls}' has no members$"):
+                joint.lump(c, lumping)
     for bad in (-1, len(lumping.class_order)):
         class_of = lumping.class_of.copy()
         class_of[V] = bad
