@@ -72,9 +72,8 @@ from .schedules import (
     distance_tree_chain,
     parse_schedule,
     time_varying_expectation,
-    time_varying_expectation_all,
+    time_varying_series,
     time_varying_survival,
-    time_varying_survival_all,
 )
 
 __version__ = "0.1.0"

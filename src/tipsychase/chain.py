@@ -11,6 +11,9 @@ with transition matrix P and transient submatrix T:
 The last three are rows of whole-chain quantities, so each is computed
 for every start at once: a TransientSystem solves (I - T) X = [1 | R]
 once and keeps the answer, and survival is a vector for all starts.
+When the spinner changes every round, there is no one T to solve:
+``schedules.time_varying_series`` carries the products T_1 ... T_n
+forward instead, for every start, and reads both G and E off them.
 
 P and T are float64, dense or sparse, as their producer built them.
 The family chains behind the bundled tables are dense with at most 13
@@ -315,12 +318,15 @@ def _fundamental_solve(ts: TransientSystem):
 def _drains(ts: TransientSystem) -> bool:
     """Whether every transient state reaches an exit (a non-zero in R) along T != 0.
 
-    Grown backwards from the exits, without scipy.  A dense T takes one
-    boolean mat-vec per step, depth * n^2 work, under the LU's n^3.  A
-    CSR T gathers only the predecessors of the states reached last, so
-    each non-zero is read once (0.12 s on a 600-cycle's 359,400-state
-    joint chain, against 0.77 s by mat-vecs).  By Kemeny & Snell, I - T
-    is invertible exactly when every state drains.
+    Grown backwards from the exits, without scipy, reading each non-zero
+    of T once.  A CSR T gathers the predecessors of the states reached
+    last, one numpy step per level (0.12 s on a 600-cycle's 359,400-state
+    joint chain).  A dense T lists every state's predecessors from one
+    scan of its support and walks them with a stack in Python, so the
+    cost is that scan, n^2, plus the non-zeros; one boolean mat-vec per
+    level would cost depth * n^2 (on a 2-vCPU machine, 51 s on the
+    8,001-state tree chain, whose LU takes 2.4 s).  By Kemeny & Snell,
+    I - T is invertible exactly when every state drains.
     """
     support = ts.T != 0
     reached = abs(ts.R).sum(axis=1) > 0
@@ -335,14 +341,18 @@ def _drains(ts: TransientSystem) -> bool:
             frontier = np.unique(found[~reached[found]])
             reached[frontier] = True
         return bool(reached.all())
-    count = np.count_nonzero(reached)
-    while count < ts.n_transient:
-        reached = reached | (support @ reached)
-        grown = np.count_nonzero(reached)
-        if grown == count:
-            return False
-        count = grown
-    return True
+    reached = reached.tolist()
+    predecessors = [[] for _ in reached]
+    step_from, step_to = np.nonzero(support)
+    for i, j in zip(step_from.tolist(), step_to.tolist()):
+        predecessors[j].append(i)
+    stack = [j for j, done in enumerate(reached) if done]
+    while stack:
+        for i in predecessors[stack.pop()]:
+            if not reached[i]:
+                reached[i] = True
+                stack.append(i)
+    return all(reached)
 
 
 def _error_bound(ts: TransientSystem, X: np.ndarray, B: np.ndarray) -> float:

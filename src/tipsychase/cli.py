@@ -170,54 +170,52 @@ def _arena(args):
     return g, rules, lumping(g)
 
 
-def _expected_value(label, ts):
-    """E from ``label``; a finite E's condition note, if any, goes to stderr."""
-    result = chain_mod.expected_rounds(ts, label)
-    if result.condition_note and not result.is_infinite:
-        print(f"note: {label}: {result.condition_note}", file=sys.stderr)
-    return result.value
+def _rows(labels, survival, measures, starts=None):
+    """One output row per start: its label, G<m> from ``survival`` ({m: vector
+    over ``labels``}), then the cells ``measures(i)`` gives for start index i.
 
-
-def _measure_rows(ts, rounds_list, want_absorption):
-    survival = [chain_mod.survival_vector(ts, m) for m in rounds_list]
+    ``starts`` are indices into ``labels``, every one of them by default.
+    """
     rows = []
-    for i, label in enumerate(ts.labels):
-        row = {"start": label}
-        for m, vec in zip(rounds_list, survival):
-            row[f"G{m}"] = float(vec[i])
-        row["E"] = _expected_value(label, ts)
-        if want_absorption:
-            try:
-                split = chain_mod.absorption_split(ts, label)
-            except GameModelError:
-                split = {lab: math.nan for lab in ts.absorbing_labels}
-            for lab in ts.absorbing_labels:
-                row[f"absorb:{lab}"] = split[lab]
+    for i in range(len(labels)) if starts is None else starts:
+        row = {"start": labels[i]}
+        row.update((f"G{m}", float(vec[i])) for m, vec in survival.items())
+        row.update(measures(i))
         rows.append(row)
     return rows
 
 
+def _chain_cells(ts, i, want_absorption):
+    """E, and the absorption split if wanted, of start i of a static chain.
+
+    A finite E's condition note, if any, goes to stderr.
+    """
+    result = chain_mod.expected_rounds(ts, i)
+    if result.condition_note and not result.is_infinite:
+        print(f"note: {ts.labels[i]}: {result.condition_note}", file=sys.stderr)
+    cells = {"E": result.value}
+    if want_absorption:
+        try:
+            split = chain_mod.absorption_split(ts, i)
+        except GameModelError:
+            split = {lab: math.nan for lab in ts.absorbing_labels}
+        cells.update((f"absorb:{lab}", split[lab]) for lab in ts.absorbing_labels)
+    return cells
+
+
 def cmd_analyze(args) -> int:
     rounds_list = _rounds_list(args)
-    want_absorption = args.absorption
-
+    if args.robber_share is not None and not args.schedule:
+        raise ConfigError("--robber-share applies only with --schedule")
     if args.graph_file:
         if args.schedule:
             raise ConfigError("--schedule is not supported with --graph-file")
         if args.cop is None or args.robber is None:
             raise ConfigError("--graph-file analysis needs --cop and --robber")
-        if want_absorption:
+        if args.absorption:
             raise ConfigError("--absorption is not supported with --graph-file")
-        g = graphs.load_edge_list(args.graph_file)
-        chain = joint.sparse_joint_chain(g, _spinner4(args), joint.standard_rules())
-        ts = chain_mod.extract_transient(chain)
-        label = f"({args.cop},{args.robber})"
-        row = {"start": label}
-        for m in rounds_list:
-            row[f"G{m}"] = chain_mod.survival_probability(ts, label, m)
-        row["E"] = _expected_value(label, ts)
-        rows = [row]
-    elif args.schedule:
+    sched = None
+    if args.schedule:
         if args.robber_share is None:
             raise ConfigError("--schedule needs --robber-share")
         split = schedules.SoberSplit(args.robber_share)
@@ -225,16 +223,26 @@ def cmd_analyze(args) -> int:
             raise ConfigError("--schedule and a static spinner are mutually exclusive")
         linear = args.schedule.partition(":")[0] == "linear"  # the schedule that reads the size
         sched = schedules.parse_schedule(args.schedule, _max_distance(args) if linear else None)
-        if isinstance(sched, schedules.TimeSchedule):
-            rows = _time_varying_rows(args, split, sched, rounds_list)
-        else:
-            chain = _distance_chain(args, split, sched)
-            rows = _measure_rows(chain_mod.extract_transient(chain), rounds_list, want_absorption)
+    timed = isinstance(sched, schedules.TimeSchedule)
+    if args.terms is not None and not timed:
+        raise ConfigError("--terms applies only to a time schedule")
+
+    if timed:
+        rows = _time_varying_rows(args, split, sched, rounds_list)
     else:
-        if args.family == "friendship" and (args.tc is None or args.tr is None):
-            raise ConfigError("--family friendship needs the 4-way spinner --c --r --tc --tr")
-        chain = _family_builder(args)(_family_spinner(args))
-        rows = _measure_rows(chain_mod.extract_transient(chain), rounds_list, want_absorption)
+        if args.graph_file:
+            g = graphs.load_edge_list(args.graph_file)
+            chain = joint.sparse_joint_chain(g, _spinner4(args), joint.standard_rules())
+        elif sched is not None:
+            chain = _distance_chain(args, split, sched)
+        else:
+            if args.family == "friendship" and (args.tc is None or args.tr is None):
+                raise ConfigError("--family friendship needs the 4-way spinner --c --r --tc --tr")
+            chain = _family_builder(args)(_family_spinner(args))
+        ts = chain_mod.extract_transient(chain)
+        starts = [ts.index(f"({args.cop},{args.robber})")] if args.graph_file else None
+        survival = {m: chain_mod.survival_vector(ts, m) for m in rounds_list}
+        rows = _rows(ts.labels, survival, lambda i: _chain_cells(ts, i, args.absorption), starts)
 
     columns = ["start"] + [f"G{m}" for m in rounds_list] + ["E"]
     extra = sorted({k for r in rows for k in r} - set(columns))
@@ -262,18 +270,14 @@ def _distance_chain(args, split, sched):
 def _time_varying_rows(args, split, sched, rounds_list):
     if args.family not in ("cycle", "petersen", "torus7", "tree"):
         raise ConfigError("time schedules apply to --family cycle, petersen, torus7, or tree")
-    sober, survival, expectation = schedules._series(
-        _family_builder(args), split, sched, rounds_list, tol=1e-9, n_max=args.terms
+    if args.absorption:
+        raise ConfigError("--absorption is not supported with a time schedule")
+    n_max = 2000 if args.terms is None else args.terms
+    sober, survival, expectation = schedules.time_varying_series(
+        _family_builder(args), split, sched, rounds_list, tol=1e-9, n_max=n_max
     )
-    rows = []
-    for i, (label, result) in enumerate(zip(sober.labels, expectation)):
-        row = {"start": label}
-        for m in rounds_list:
-            row[f"G{m}"] = float(survival[m][i])
-        row["E"] = result.value
-        row["terms"] = result.terms_used
-        rows.append(row)
-    return rows
+    return _rows(sober.labels, survival,
+                 lambda i: {"E": expectation[i].value, "terms": expectation[i].terms_used})
 
 
 def cmd_reproduce_table(args) -> int:
@@ -332,6 +336,8 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     cop, robber, escape = args.cop, args.robber, None
+    if args.start is not None and (cop is not None or robber is not None):
+        raise ConfigError("use either --start or --cop/--robber, not both")
     if args.graph_file:
         g = graphs.load_edge_list(args.graph_file)
         if cop is None or robber is None:
@@ -379,6 +385,8 @@ def cmd_closed_form(args) -> int:
     p = closedform.up_probability(args.delta, s)
     if args.max_dist < 2:
         raise InvalidParameter(f"call-off distance must be >= 2, got {args.max_dist}")
+    # the call-offs whose chain ``analyze --family tree`` accepts, so both commands agree
+    chain_mod.check_dense_size(args.max_dist + 1, args.max_dist + 1, "tree chain P")
     rows = []
     for d in range(1, args.max_dist):
         row = {
@@ -440,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="robber's share of the sober mass (with --schedule)")
     p.add_argument("--rounds", action="append",
                    help="survival horizons, e.g. --rounds 7 or --rounds 5,10")
-    p.add_argument("--terms", type=int, default=2000,
-                   help="term cap for time-varying expectation series")
+    p.add_argument("--terms", type=int,
+                   help="term cap for the time-varying expectation series (default 2000)")
     p.add_argument("--absorption", action="store_true",
                    help="include absorption-probability columns")
     _add_common(p)

@@ -30,13 +30,12 @@ V^2..2V^2-1 the sober robber's (hop rules only), and the V rows after
 them every vertex's neighbours for tipsy moves.  ``_move_rows(outcome,
 cop, robber, V)`` gives the row an outcome reads, and the outcome's
 parity the player who moves; each move is uniform over its row's
-targets.  ``StrategyRules``'s ``cop_move`` / ``robber_move`` give the
-sober moves one pair at a time, as the reference the table is tested
-against.  P is assembled from the table in COO form, one block per
-spinner outcome with a positive weight, plus identity rows for
-captures.  ``sparse_joint_chain`` keeps it as a CSR array (a joint
-chain is about 0.1% non-zero: 51,921 entries of the 9x9 torus's
-6,561^2), and ``build_joint_chain`` is its dense view.
+targets.  The table is the package's only statement of the rules.  P
+is assembled from it in COO form, one block per spinner outcome with a
+positive weight, plus identity rows for captures.  ``sparse_joint_chain``
+keeps it as a CSR array (a joint chain is about 0.1% non-zero: 51,921
+entries of the 9x9 torus's 6,561^2), and ``build_joint_chain`` is its
+dense view.
 
 A partition of the pairs is an integer array over them: entry
 ``pair_index(g, cop, robber)`` indexes that pair's class in the
@@ -56,7 +55,6 @@ from .errors import GraphTooLarge, InvalidParameter, NotLumpable
 from .families import SpinnerFour
 from .graphs import Graph
 
-MoveDistribution = dict[int, float]
 TieBreak = Callable[[Graph, int, int], float]
 
 LUMP_TOL = 1e-9
@@ -77,29 +75,6 @@ class StrategyRules:
     """
 
     tie_break: TieBreak | None = None
-
-    def _choose(self, g: Graph, mover: int, other: int, pick) -> MoveDistribution:
-        """Uniform over the mover's neighbours that ``pick`` (min or max)
-        prefers by hop distance to ``other``, then by the tie-break key."""
-        keep = list(g.neighbors[mover])
-        keys = [lambda v: g.distance[other, v]]
-        if self.tie_break is not None:
-            keys.append(lambda v: self.tie_break(g, v, other))
-        for key in keys:
-            best = pick(key(v) for v in keep)
-            keep = [v for v in keep if key(v) == best]
-        return {v: 1.0 / len(keep) for v in keep}
-
-    def cop_move(self, g: Graph, cop: int, robber: int) -> MoveDistribution:
-        """The sober cop's move distribution at one pair."""
-        return self._choose(g, cop, robber, min)
-
-    def robber_move(self, g: Graph, cop: int, robber: int) -> MoveDistribution:
-        """The sober robber's move distribution at one pair."""
-        dist = g.distance[cop]
-        if all(dist[v] < dist[robber] for v in g.neighbors[robber]):
-            return {robber: 1.0}
-        return self._choose(g, robber, cop, max)
 
 
 def standard_rules(tie_break: TieBreak | None = None) -> StrategyRules:

@@ -128,9 +128,9 @@ def _run_batch(cfg: SimConfig, tables, lo: int, hi: int, rounds_out, outcome_out
             n = counts[row]
             pick = np.minimum((draws[alive, 2 * j + 1] * n).astype(np.int64), n - 1)
             target = targets[row, pick]
-            cop_moved = outcome % 2 == 0
-            new_cop = np.where(cop_moved, target, ca)
-            new_rob = np.where(cop_moved, ra, target)
+            cop_turn = outcome % 2 == 0
+            new_cop = np.where(cop_turn, target, ca)
+            new_rob = np.where(cop_turn, ra, target)
             cop[alive] = new_cop
             rob[alive] = new_rob
 

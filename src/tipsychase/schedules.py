@@ -11,9 +11,12 @@ and the expected game length is the series of its partial products,
     E(d) = e_d . (sum_{n>=1} prod_{m<n} T_m) . 1
 
 whose terms are the survival probabilities G_{n-1}(d).  The series has
-no closed form, so it is summed with an explicit stopping rule (see
-``time_varying_expectation``).  Every chain of this game is affine in
-the spinner, so T_m = (1 - t_m) T(0) + t_m T(1): a pass builds two chains.
+no closed form, so it is summed with an explicit stopping rule.
+``time_varying_series`` is one forward pass that gives both, at every
+horizon asked and for every start at once; ``time_varying_survival`` and
+``time_varying_expectation`` read one start's row of it.  Every chain of
+this game is affine in the spinner, so T_m = (1 - t_m) T(0) + t_m T(1):
+a pass builds two chains.
 
 Distance-varying: state d of a cycle or tree chain plays with
 t_d = delta(d); the chain itself is static, so the ordinary matrix
@@ -25,6 +28,7 @@ case of a constant delta.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -37,7 +41,7 @@ from . import families
 from .errors import InvalidParameter, ScheduleOutOfRange
 from .families import SpinnerThree
 
-# The time-varying series build it at t = 0 and t = 1 only, so its P must be
+# The time-varying series builds it at t = 0 and t = 1 only, so its P must be
 # affine in the spinner, as every family's is, and its absorbing set fixed.
 ChainBuilder = Callable[[SpinnerThree], MarkovChain]
 
@@ -140,7 +144,7 @@ class SeriesResult:
 
     ``truncation_bound`` is an estimate of the tail left out, not a
     bound: it is exact only if every later round plays at the limiting
-    tipsiness (see ``time_varying_expectation``).
+    tipsiness (see ``time_varying_series``).
     """
 
     value: float
@@ -153,19 +157,27 @@ class SeriesResult:
         return math.isinf(self.value)
 
 
-def _series(builder, split, sched, horizons=(), tol=None, n_max=0, start=None):
-    """One forward pass over T_1, T_2, ..., for every start at once.
+def time_varying_series(builder: ChainBuilder, split: SoberSplit, sched: TimeSchedule,
+                        horizons=(), tol: float | None = None, n_max: int = 0, start=None):
+    """Survival and the expectation series for every start, in one forward pass.
 
     Row d of U_n = T_1 ... T_{n-1} sums to G_{n-1}(d), which is both the
     survival at horizon n - 1 and term n of the expectation series.  T_m
     mixes the all-sober and the all-tipsy chain, each built once, at f(m),
-    and the limiting chain mixes them at ``sched.limit``.  The pass records
-    G at each of ``horizons``; with ``tol`` given it also sums the series,
-    and each row stops by the rule of ``time_varying_expectation`` on its
-    own.  A ``start`` label is resolved before the walk.
+    so ``builder`` must be affine in the spinner (see ``ChainBuilder``).
+    The pass records G at each of ``horizons``.  With ``tol`` given it also
+    sums the series, term n carried forward as the row sums of U_n, and
+    stops each row on its own: when both term n and the tail estimate
+    fall below ``tol``, or at term ``n_max``.  The tail after term n is
+    U_{n+1} times the limiting chain's expected-remaining-rounds vector,
+    the chain mixed at ``sched.limit``; it is exact if every later round
+    already plays at the limiting tipsiness.  When the limiting chain is
+    not absorbing the series diverges and every result is INFINITE
+    outright.  A ``start`` label is resolved before the walk.
 
-    Returns the all-sober TransientSystem, {horizon: G per start}, and a
-    SeriesResult per start, or None when ``tol`` is None.
+    Returns the all-sober TransientSystem, whose ``labels`` order the
+    starts, {horizon: G per start}, and a SeriesResult per start, or None
+    when ``tol`` is None.
     """
     for rounds in horizons:
         if rounds < 0:
@@ -175,9 +187,11 @@ def _series(builder, split, sched, horizons=(), tol=None, n_max=0, start=None):
     if tol is not None and n_max < 1:
         raise InvalidParameter(f"n_max must be >= 1, got {n_max}")
     if abs(sched.at(1) - 1.0) > 1e-12:
-        # stacklevel 3: the caller of the public function that called here
+        level = 2  # the first caller outside this module, past the per-label reads
+        while sys._getframe(level - 1).f_globals["__name__"] == __name__:
+            level += 1
         warnings.warn(
-            f"time schedule {sched.name!r} has f(1) = {sched.at(1):.6g}, not 1", stacklevel=3
+            f"time schedule {sched.name!r} has f(1) = {sched.at(1):.6g}, not 1", stacklevel=level
         )
     ends = [builder(split.spinner(t)) for t in (0.0, 1.0)]
     if len({(built.n_states, built.absorbing) for built in ends}) > 1:
@@ -236,32 +250,12 @@ def _series(builder, split, sched, horizons=(), tol=None, n_max=0, start=None):
     return sober, survival, results
 
 
-def time_varying_survival_all(
-    builder: ChainBuilder, split: SoberSplit, sched: TimeSchedule, rounds: int
-) -> dict[str, float]:
-    """G_M(d) for every start d of T_1 ... T_M; the builder must be affine in the spinner."""
-    sober, survival, _ = _series(builder, split, sched, (rounds,))
-    return dict(zip(sober.labels, survival[rounds].tolist()))
-
-
 def time_varying_survival(
     builder: ChainBuilder, split: SoberSplit, sched: TimeSchedule, d, rounds: int
 ) -> float:
-    """G_M(d) for the round-indexed chain family T_1 ... T_M: row d of the all-starts pass."""
-    sober, survival, _ = _series(builder, split, sched, (rounds,), start=d)
+    """G_M(d) for the round-indexed chain family T_1 ... T_M: row d of ``time_varying_series``."""
+    sober, survival, _ = time_varying_series(builder, split, sched, (rounds,), start=d)
     return float(survival[rounds][sober.index(d)])
-
-
-def time_varying_expectation_all(
-    builder: ChainBuilder,
-    split: SoberSplit,
-    sched: TimeSchedule,
-    tol: float = 1e-9,
-    n_max: int = 10000,
-) -> dict[str, SeriesResult]:
-    """``time_varying_expectation`` for every start, in one pass."""
-    sober, _, results = _series(builder, split, sched, tol=tol, n_max=n_max)
-    return dict(zip(sober.labels, results))
 
 
 def time_varying_expectation(
@@ -272,19 +266,8 @@ def time_varying_expectation(
     tol: float = 1e-9,
     n_max: int = 10000,
 ) -> SeriesResult:
-    """Partial sums of the expectation series with a computable stop rule.
-
-    Term n is the survival probability G_{n-1}(d), accumulated by
-    carrying the row vector u_n = e_d . T_1 ... T_{n-1} forward.  The
-    tail after term n is estimated as u_{n+1} dotted with the limiting
-    chain's expected-remaining-rounds vector (exact if every later
-    round already played at the limiting tipsiness); we stop when both
-    that estimate and the current term fall below ``tol``.  When the
-    limiting chain is not absorbing the series diverges and the result
-    is INFINITE outright.  Row d of the all-starts pass; ``builder``
-    must be affine in the spinner (see ``ChainBuilder``).
-    """
-    sober, _, results = _series(builder, split, sched, tol=tol, n_max=n_max, start=d)
+    """E(d) as partial sums of the survival series: row d of ``time_varying_series``."""
+    sober, _, results = time_varying_series(builder, split, sched, (), tol, n_max, start=d)
     return results[sober.index(d)]
 
 

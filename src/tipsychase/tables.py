@@ -191,7 +191,7 @@ def _compute_time(cells, schedule):
         cap = {cell.key: cell.n_terms or 3000 for cell in group if cell.measure == "E"}
         for n_max in set(cap.values()) or {None}:
             tol = None if n_max is None else 1e-10
-            sober, survival, expectation = schedules._series(
+            sober, survival, expectation = schedules.time_varying_series(
                 builder, split, schedule, horizons, tol, n_max
             )
             for cell in group:

@@ -625,6 +625,20 @@ class TestDivergenceRule:
                 assert abs(Fraction(float(p)) - want) <= Fraction(bound)
         assert kept > 100 and refused > 10
 
+    def test_dense_search_reads_each_non_zero_once_at_depth(self):
+        # the dense counterpart: a 4,000-state path stepping one state down at a
+        # time drains, and with one step down cut the states above it never do;
+        # one boolean mat-vec per level would take 4,000 passes over 16 M entries
+        n = 4_000
+        T = np.diag(np.full(n - 1, 0.5), -1) + np.eye(n) * 0.5
+        R = np.zeros((n, 1))
+        R[0, 0] = 0.5
+        labels = tuple(map(str, range(n)))
+        assert chain._drains(chain.TransientSystem(labels, T, R, ("0",)))
+        closed = T.copy()
+        closed[n - 2, n - 3] = 0.0
+        assert not chain._drains(chain.TransientSystem(labels, closed, R, ("0",)))
+
     def test_sparse_search_reads_each_column_once_at_depth(self):
         # a 20,000-state path stepping one state down at a time, exit at the bottom,
         # drains; with an explicit zero in place of one step down, the states

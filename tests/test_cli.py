@@ -197,6 +197,28 @@ class TestAnalyze:
         assert code == 0
         assert out.splitlines()[1].split() == ["(0,2)", "1", "Infinite"]
 
+    def test_graph_file_reads_its_one_start(self, capsys, tmp_path, monkeypatch):
+        # the one start is read from the whole-vector survival and solve: its label
+        # is resolved once, not one row or label lookup per joint pair
+        path = tmp_path / "cycle6.txt"
+        path.write_text("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
+        looked_up = []
+        index = chain.TransientSystem.index
+
+        def recording(ts, state):
+            looked_up.append(state)
+            return index(ts, state)
+
+        monkeypatch.setattr(chain.TransientSystem, "index", recording)
+        code, out, err = run_cli(
+            ["analyze", "--graph-file", str(path), *SPIN3, "--cop", "0", "--robber", "3",
+             "--rounds", "5,7", "--format", "csv"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert [row["start"] for row in rows_from_csv(out)] == ["(0,3)"]
+        assert looked_up[0] == "(0,3)" and len(looked_up) == 2  # the label, then E's row
+
     def test_schedule_conflicts_with_static_spinner(self, capsys):
         code, _, err = run_cli(
             ["analyze", "--family", "cycle", "--n", "6", "--schedule", "linear",
@@ -517,6 +539,22 @@ CALL_OFF = "InvalidParameter: call-off distance must be >= 2, got {}"
          "GraphTooLarge: dense tree chain P would take 8e+07 GB, over the cap of 0.537 GB"),
         # not a refusal: the 3-way spinner's tipsy mass is split evenly, as for the joint chain
         (["verify", "--family", "friendship", "--n", "3", *SPIN3], None),
+        # flags that the scenario would not read
+        (["analyze", "--family", "cycle", "--n", "6", *TIME, "--absorption"],
+         "--absorption is not supported with a time schedule"),
+        (["analyze", "--family", "cycle", "--n", "6", *SPIN3, "--robber-share", "0.5"],
+         "--robber-share applies only with --schedule"),
+        (["analyze", "--family", "cycle", "--n", "6", *SPIN3, "--terms", "50"],
+         "--terms applies only to a time schedule"),
+        (["analyze", "--family", "cycle", "--n", "6", *LINEAR, "--terms", "50"],
+         "--terms applies only to a time schedule"),
+        (["simulate", "--family", "cycle", "--n", "6", *SPIN3, "--start", "3",
+          "--cop", "0", "--robber", "1"], "use either --start or --cop/--robber, not both"),
+        # closed-form takes the call-offs whose chain analyze accepts, 8191 the largest
+        (["closed-form", "--delta", "3", "--max-dist", "8192", *SPIN3],
+         "GraphTooLarge: dense tree chain P would take 0.537 GB, over the cap of 0.537 GB"),
+        (["analyze", "--family", "tree", "--delta", "3", "--max-dist", "8192", *SPIN3],
+         "GraphTooLarge: dense tree chain P would take 0.537 GB, over the cap of 0.537 GB"),
     ],
 )
 def test_family_dispatch_refusals(capsys, argv, message):
@@ -564,6 +602,15 @@ class TestClosedForm:
         d9 = next(r for r in rows if r["d"] == "9")
         assert float(d9["E"]) == pytest.approx(3.838, abs=1e-3)
         assert float(d9["R"]) == pytest.approx(0.9959, abs=5e-4)
+
+    def test_largest_call_off(self, capsys):
+        code, out, err = run_cli(
+            ["closed-form", "--delta", "3", "--max-dist", "8191", *SPIN3, "--format", "csv"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        rows = rows_from_csv(out)
+        assert [row["d"] for row in (rows[0], rows[-1])] == ["1", "8190"] and len(rows) == 8190
 
     def test_unbounded_column(self, capsys):
         code, out, _ = run_cli(

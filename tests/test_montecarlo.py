@@ -20,6 +20,37 @@ def config(**kwargs):
     return montecarlo.SimConfig(**defaults)
 
 
+# The sober move rules of ``joint``'s module docstring, one pair at a time: the
+# reference that the move tables and the simulator are tested against.
+
+
+def _choose(rules, g, mover, other, pick):
+    """Uniform over the mover's neighbours that ``pick`` (min or max) prefers
+    by hop distance to ``other``, then by the rules' tie-break key."""
+    keep = list(g.neighbors[mover])
+    keys = [lambda v: g.distance[other, v]]
+    if rules.tie_break is not None:
+        keys.append(lambda v: rules.tie_break(g, v, other))
+    for key in keys:
+        best = pick(key(v) for v in keep)
+        keep = [v for v in keep if key(v) == best]
+    return {v: 1.0 / len(keep) for v in keep}
+
+
+def cop_move(rules, g, cop, robber):
+    """The sober cop's move distribution at one pair, read from the rules as written."""
+    return _choose(rules, g, cop, robber, min)
+
+
+def robber_move(rules, g, cop, robber):
+    """The sober robber's move distribution at one pair; he stays put when every
+    neighbour would strictly close the gap."""
+    dist = g.distance[cop]
+    if all(dist[v] < dist[robber] for v in g.neighbors[robber]):
+        return {robber: 1.0}
+    return _choose(rules, g, robber, cop, max)
+
+
 class TestDeterministicGames:
     def test_sober_cop_ends_in_exactly_d_rounds(self):
         for d in (1, 2, 3):
@@ -83,10 +114,10 @@ class TestReproducibility:
                 while u1 >= thresholds[cat]:
                     cat += 1
                 if cat == 0:
-                    targets = sorted(rules.cop_move(g, cop, rob))
+                    targets = sorted(cop_move(rules, g, cop, rob))
                     cop = targets[min(int(u2 * len(targets)), len(targets) - 1)]
                 elif cat == 1:
-                    targets = sorted(rules.robber_move(g, cop, rob))
+                    targets = sorted(robber_move(rules, g, cop, rob))
                     rob = targets[min(int(u2 * len(targets)), len(targets) - 1)]
                 elif cat == 2:
                     ns = g.neighbors[cop]
@@ -172,7 +203,7 @@ class TestReportShape:
 
 
 def _reference_tables(g, rules, maxdeg):
-    """The sober move tables, pair by pair from ``rules.cop_move`` / ``robber_move``."""
+    """The sober move tables, pair by pair from ``cop_move`` / ``robber_move``."""
     V = g.vertex_count
     cop_tab = np.zeros((V * V, maxdeg), dtype=np.int32)
     cop_cnt = np.zeros(V * V, dtype=np.int32)
@@ -183,9 +214,9 @@ def _reference_tables(g, rules, maxdeg):
             if cop == robber:
                 continue
             pair = cop * V + robber
-            for move, tab, cnt in ((rules.cop_move, cop_tab, cop_cnt),
-                                   (rules.robber_move, rob_tab, rob_cnt)):
-                dist = move(g, cop, robber)
+            for move, tab, cnt in ((cop_move, cop_tab, cop_cnt),
+                                   (robber_move, rob_tab, rob_cnt)):
+                dist = move(rules, g, cop, robber)
                 targets = sorted(dist)
                 assert all(p == 1.0 / len(targets) for p in dist.values())
                 cnt[pair] = len(targets)

@@ -394,9 +394,9 @@ class TestWholeVectorSeries:
     @pytest.mark.parametrize("family,sched,share", SERIES_CASES)
     def test_survival_matches_per_label_loop(self, family, sched, share):
         builder, split = FAMILY_BUILDERS[family], schedules.SoberSplit(share)
-        for rounds in (0, 1, 5, 30):
-            got = schedules.time_varying_survival_all(builder, split, sched, rounds)
-            for d, g in got.items():
+        sober, survival, _ = schedules.time_varying_series(builder, split, sched, (0, 1, 5, 30))
+        for rounds, column in survival.items():
+            for d, g in zip(sober.labels, column.tolist()):
                 assert_close(g, per_label_survival(builder, split, sched, d, rounds))
                 assert schedules.time_varying_survival(builder, split, sched, d, rounds) == g
 
@@ -404,8 +404,10 @@ class TestWholeVectorSeries:
     def test_expectation_matches_per_label_loop(self, family, sched, share):
         builder, split = FAMILY_BUILDERS[family], schedules.SoberSplit(share)
         for n_max in (30, 400):  # 30 stops some rows at the cap, unconverged
-            got = schedules.time_varying_expectation_all(builder, split, sched, 1e-10, n_max)
-            for d, res in got.items():
+            sober, _, got = schedules.time_varying_series(
+                builder, split, sched, tol=1e-10, n_max=n_max
+            )
+            for d, res in zip(sober.labels, got):
                 want = per_label_expectation(builder, split, sched, d, 1e-10, n_max)
                 assert_close(res.value, want.value)
                 assert_close(res.truncation_bound, want.truncation_bound)
@@ -416,15 +418,20 @@ class TestWholeVectorSeries:
     @pytest.mark.parametrize("family,sched,share", SERIES_CASES)
     def test_one_pass_gives_survival_and_expectation(self, family, sched, share):
         builder, split = FAMILY_BUILDERS[family], schedules.SoberSplit(share)
-        first, survival, results = schedules._series(
+        first, survival, results = schedules.time_varying_series(
             builder, split, sched, (0, 5, 30), tol=1e-10, n_max=400
         )
         assert list(survival) == [0, 5, 30]
         for rounds, g in survival.items():
-            alone = schedules.time_varying_survival_all(builder, split, sched, rounds)
-            assert dict(zip(first.labels, g.tolist())) == alone
-        alone = schedules.time_varying_expectation_all(builder, split, sched, 1e-10, 400)
-        assert dict(zip(first.labels, results)) == alone
+            sober, alone, none = schedules.time_varying_series(builder, split, sched, (rounds,))
+            assert sober.labels == first.labels and none is None
+            assert list(alone) == [rounds]
+            np.testing.assert_array_equal(g, alone[rounds])
+        sober, alone, alone_results = schedules.time_varying_series(
+            builder, split, sched, tol=1e-10, n_max=400
+        )
+        assert sober.labels == first.labels and alone == {}
+        assert results == alone_results
 
     def test_each_round_built_once(self):
         # every round mixes the all-sober and the all-tipsy chain, built once each
@@ -435,12 +442,14 @@ class TestWholeVectorSeries:
             return cycle6(s)
 
         split, sched = schedules.SoberSplit(0.5), schedules.TimeSchedule.hyperbolic()
-        schedules.time_varying_survival_all(counting, split, sched, 12)
+        schedules.time_varying_series(counting, split, sched, (12,))
         assert built == [0.0, 1.0]
 
         built.clear()
-        expectation = schedules.time_varying_expectation_all(counting, split, sched, 1e-10, 1000)
-        assert max(res.terms_used for res in expectation.values()) > 100
+        _, _, expectation = schedules.time_varying_series(
+            counting, split, sched, tol=1e-10, n_max=1000
+        )
+        assert max(res.terms_used for res in expectation) > 100
         assert built == [0.0, 1.0]
 
     @pytest.mark.parametrize("family,sched,share", [
@@ -453,7 +462,7 @@ class TestWholeVectorSeries:
         # these families write their rows with t/2 and t/4, so the mixture is exact
         builder, split = FAMILY_BUILDERS[family], schedules.SoberSplit(share)
         horizons = (0, 1, 5, 30)
-        sober, survival, results = schedules._series(
+        sober, survival, results = schedules.time_varying_series(
             builder, split, sched, horizons, tol=1e-10, n_max=400
         )
         want_survival, want_results = per_round_series(builder, split, sched, horizons, 1e-10, 400)
@@ -467,7 +476,7 @@ class TestWholeVectorSeries:
         sched = schedules.TimeSchedule(lambda m: 1.0 / m, "over", limit=1.5)
         split = schedules.SoberSplit(0.5)
         with pytest.raises(InvalidParameter, match=r"^tipsiness = 1\.5 is outside \[0, 1\]$"):
-            schedules.time_varying_expectation_all(cycle6, split, sched)
+            schedules.time_varying_series(cycle6, split, sched, tol=1e-9, n_max=10)
         with pytest.raises(InvalidParameter, match=r"^tipsiness = 1\.5 is outside \[0, 1\]$"):
             schedules.time_varying_expectation(cycle6, split, sched, "1")
 
@@ -491,9 +500,9 @@ class TestWholeVectorSeries:
 
     @pytest.mark.parametrize("call", [
         lambda b, sp, sc: schedules.time_varying_survival(b, sp, sc, "1", 3),
-        lambda b, sp, sc: schedules.time_varying_survival_all(b, sp, sc, 3),
+        lambda b, sp, sc: schedules.time_varying_series(b, sp, sc, (3,)),
         lambda b, sp, sc: schedules.time_varying_expectation(b, sp, sc, "1", 1e-6, 50),
-        lambda b, sp, sc: schedules.time_varying_expectation_all(b, sp, sc, 1e-6, 50),
+        lambda b, sp, sc: schedules.time_varying_series(b, sp, sc, (3,), 1e-6, 50),
     ])
     def test_nonstandard_warning_names_the_caller(self, call):
         sched = schedules.TimeSchedule(lambda m: 0.8 / m, "f(1)=0.8")
@@ -509,6 +518,6 @@ class TestWholeVectorSeries:
             return cycle6(s) if s.t > 0.5 else families.tree_chain(2, 3, s)
 
         with pytest.raises(InvalidParameter):
-            schedules.time_varying_survival_all(
-                shifty, schedules.SoberSplit(0.5), schedules.TimeSchedule.hyperbolic(), 10
+            schedules.time_varying_series(
+                shifty, schedules.SoberSplit(0.5), schedules.TimeSchedule.hyperbolic(), (10,)
             )
