@@ -150,7 +150,8 @@ class TransientSystem:
     ``labels`` keeps the transient states in their original chain order;
     ``absorbing_labels`` does the same for the retained absorbing states,
     so columns of R line up with them.  ``solution`` holds the solve of
-    (I - T) X = [1 | R], made on first use and kept.  T and R are dense
+    (I - T) X = [1 | R], made on first use and kept, and ``drains`` the
+    verdict of the one divergence rule, likewise.  T and R are dense
     or CSR, as extracted from P.
     """
 
@@ -185,6 +186,11 @@ class TransientSystem:
         The arrays are read-only, since every caller shares them.
         """
         return _fundamental_solve(self)
+
+    @functools.cached_property
+    def drains(self) -> bool:
+        """Whether every transient state reaches an exit: ``_drains``, searched once."""
+        return _drains(self)
 
     @functools.cached_property
     def absorb_split(self):
@@ -304,11 +310,11 @@ def survival_probability(ts: TransientSystem, d, rounds: int) -> float:
 def _fundamental_solve(ts: TransientSystem):
     """Solve (I - T) X = [1 | R] under the one divergence rule, or return None.
 
-    None unless every state drains (``_drains``).  Then dense LU, or
+    None unless every state drains (``ts.drains``).  Then dense LU, or
     BiCGSTAB and else dense LU on a sparse T.  Returns (expected, absorb,
     bound), ``bound`` from ``_error_bound``; ``absorb`` is None after BiCGSTAB.
     """
-    if not _drains(ts):
+    if not ts.drains:
         return None
     if not _is_sparse(ts.T):
         return _lu_solve(ts, np.array(ts.T, order="F"))
@@ -429,7 +435,7 @@ def _krylov(ts: TransientSystem):
 
 def _divergence_note(ts: TransientSystem) -> str:
     """Why E reads infinite, or why a finite E has no absorption split."""
-    if not _drains(ts):
+    if not ts.drains:
         return "some transient state never reaches an exit, so I - T is singular"
     if ts.solution is None:
         return "every state drains, but float64 cannot resolve E: no solve bounds its error below 1"

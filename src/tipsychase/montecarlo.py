@@ -77,23 +77,23 @@ class SimReport:
 
 
 _BLOCK_ROUNDS = 128
-_COUNTERS_PER_BLOCK = 2 * _BLOCK_ROUNDS // 4  # Philox emits 4 uint64 per counter tick
 
 
-def _refill(bit_gen, gen, state, draws, local_rows, first_trial, block_index):
-    """Fill each row's next block of doubles from its trial's own stream.
+def _refill(bit_gen, gen, state, draws, local_rows, first_trial, first_round, block):
+    """Fill each row's doubles for rounds first_round .. first_round + block - 1.
 
     One Philox instance is repositioned per trial instead of constructing
     a fresh one: trial k's stream starts at counter k * 2**64, and each
-    block of 2 * _BLOCK_ROUNDS doubles advances the counter by exactly
-    _COUNTERS_PER_BLOCK ticks.
+    counter tick gives 4 doubles, two rounds, so round m's draws start at
+    tick m // 2 (``first_round`` is a multiple of _BLOCK_ROUNDS, so even).
+    Only the block's 2 * block doubles are drawn, into the row in place.
     """
     counter = state["state"]["counter"]
-    counter[0] = block_index * _COUNTERS_PER_BLOCK
+    counter[0] = first_round // 2
     for row in local_rows:
         counter[1] = first_trial + row
         bit_gen.state = state
-        draws[row] = gen.random(2 * _BLOCK_ROUNDS)
+        gen.random(out=draws[row, : 2 * block])
 
 
 def _run_batch(cfg: SimConfig, tables, lo: int, hi: int, rounds_out, outcome_out):
@@ -115,12 +115,10 @@ def _run_batch(cfg: SimConfig, tables, lo: int, hi: int, rounds_out, outcome_out
     alive = np.arange(size)
     draws = np.empty((size, 2 * _BLOCK_ROUNDS))
     rounds_done = 0
-    block_index = 0
 
     while alive.size and rounds_done < cfg.max_rounds:
-        _refill(bit_gen, gen, state, draws, alive, lo, block_index)
-        block_index += 1
         block = min(_BLOCK_ROUNDS, cfg.max_rounds - rounds_done)
+        _refill(bit_gen, gen, state, draws, alive, lo, rounds_done, block)
         for j in range(block):
             outcome = np.searchsorted(thresholds, draws[alive, 2 * j], side="right")
             ca, ra = cop[alive], rob[alive]

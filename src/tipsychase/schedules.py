@@ -157,6 +157,12 @@ class SeriesResult:
         return math.isinf(self.value)
 
 
+# The pass steps through rounds in chunks: _FIRST_CHUNK rounds, then twice as many
+# each time, while a chunk's stack of k x k round matrices stays within _CHUNK_BYTES.
+_FIRST_CHUNK = 8
+_CHUNK_BYTES = 1 << 15
+
+
 def time_varying_series(builder: ChainBuilder, split: SoberSplit, sched: TimeSchedule,
                         horizons=(), tol: float | None = None, n_max: int = 0, start=None):
     """Survival and the expectation series for every start, in one forward pass.
@@ -174,6 +180,18 @@ def time_varying_series(builder: ChainBuilder, split: SoberSplit, sched: TimeSch
     already plays at the limiting tipsiness.  When the limiting chain is
     not absorbing the series diverges and every result is INFINITE
     outright.  A ``start`` label is resolved before the walk.
+
+    The rounds are stepped in chunks, ``_FIRST_CHUNK`` rounds and then
+    twice as many each time, up to as many k x k matrices as fit in
+    ``_CHUNK_BYTES`` (one, on a chain too large for two).  A chunk
+    evaluates f round by round, mixes its T_m in one broadcast, takes
+    each U_n by one matmul in round order, and reads the row sums, the
+    horizons, the tails, the running totals and each row's first stop
+    from the whole chunk at once.  The arithmetic is that of a per-round
+    loop, operation for operation, so the results are bitwise the same.
+    A chunk may look past the last round the pass needs; if f fails
+    there, the chunk ends before that round, and the error is raised
+    only if the pass goes on to it.
 
     Returns the all-sober TransientSystem, whose ``labels`` order the
     starts, {horizon: G per start}, and a SeriesResult per start, or None
@@ -218,25 +236,48 @@ def time_varying_series(builder: ChainBuilder, split: SoberSplit, sched: TimeSch
     stop_n, stop_total, stop_tail = np.zeros(k, dtype=int), np.zeros(k), np.zeros(k)
     last = max(horizons, default=0)
     prev_t = sched.at(1)
+    longest = max(1, _CHUNK_BYTES // (8 * k * k))
+    size = min(_FIRST_CHUNK, longest)
     n = 0
     while n < last or active:
-        n += 1
-        t_n = sched.at(n)
-        if n <= last and t_n > prev_t + 1e-12:
-            warnings.warn(f"time schedule {sched.name!r} increases at m={n}")
-        prev_t = t_n
-        U = U @ ((1.0 - t_n) * sober.T + t_n * tipsy.T)
-        term, G = G, U.sum(axis=1)
-        if n in horizons:
-            survival[n] = G
+        chunk = []  # t_m of the chunk's rounds, none past the last the pass can need
+        for m in range(n + 1, min(n + size, max(last, n_max if active else 0)) + 1):
+            try:
+                t_m = sched.at(m)
+            except Exception:
+                if chunk:  # the pass may end before round m: let the next chunk retry it
+                    break
+                raise
+            if m <= last and t_m > prev_t + 1e-12:
+                warnings.warn(f"time schedule {sched.name!r} increases at m={m}")
+            prev_t = t_m
+            chunk.append(t_m)
+        t = np.array(chunk)[:, None, None]
+        Ts = (1.0 - t) * sober.T + t * tipsy.T
+        Us = np.empty_like(Ts)
+        for i, T_m in enumerate(Ts):
+            U = np.matmul(U, T_m, out=Us[i])
+        sums = Us.sum(axis=2)
+        for h in sorted(horizons):
+            if n < h <= n + len(chunk):
+                survival[h] = sums[h - n - 1]
         if active:
-            total += term
-            tail = U @ profile
-            stop = pending & (np.maximum(term, tail) < tol) if n < n_max else pending
-            if stop.any():
-                stop_n[stop], stop_total[stop], stop_tail[stop] = n, total[stop], tail[stop]
-                pending = pending & ~stop
-                active = pending.any()
+            terms = np.vstack([G, sums[:-1]])
+            totals = np.cumsum(np.vstack([total, terms]), axis=0)[1:]
+            tails = Us @ profile
+            stops = np.maximum(terms, tails) < tol
+            stops[n_max - n - 1:] = True  # n < n_max while a row is pending
+            rows = np.flatnonzero(pending & stops.any(axis=0))
+            first = stops[:, rows].argmax(axis=0)
+            stop_n[rows], stop_total[rows], stop_tail[rows] = (
+                n + 1 + first, totals[first, rows], tails[first, rows]
+            )
+            pending[rows] = False
+            active = pending.any()
+            total = totals[-1]
+        n += len(chunk)
+        G = sums[-1]
+        size = min(2 * size, longest)
 
     if tol is None:
         results = None

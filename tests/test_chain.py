@@ -496,6 +496,21 @@ class TestDivergenceRule:
             with pytest.raises(Divergent, match=STRUCTURAL):
                 chain.absorption_split(ts, d)
 
+    def test_one_drain_search_for_every_start(self, monkeypatch):
+        # the verdict is kept on the system: E and the split of every start of a
+        # chain that does not drain read it, and the search runs once
+        calls = []
+        search = chain._drains
+        monkeypatch.setattr(chain, "_drains", lambda ts: calls.append(ts) or search(ts))
+        ts = chain.extract_transient(
+            families.cycle_chain(40, families.SpinnerThree(c=0.0, r=1.0, t=0.0))
+        )
+        for d in ts.labels:
+            assert chain.expected_rounds(ts, d).is_infinite
+            with pytest.raises(Divergent, match=STRUCTURAL):
+                chain.absorption_split(ts, d)
+        assert ts.n_transient == 20 and calls == [ts]
+
     @pytest.mark.parametrize(
         "build",
         [

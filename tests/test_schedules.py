@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -375,6 +376,30 @@ def per_round_series(builder, split, sched, horizons, tol, n_max):
     ]
 
 
+def chunk_edges(k, count):
+    """The last rounds of the pass's first ``count`` chunks on a k-state chain."""
+    longest = max(1, schedules._CHUNK_BYTES // (8 * k * k))
+    size, end, edges = min(schedules._FIRST_CHUNK, longest), 0, []
+    for _ in range(count):
+        end += size
+        edges.append(end)
+        size = min(2 * size, longest)
+    return edges, longest
+
+
+def assert_same_pass(builder, split, sched, horizons, tol, n_max):
+    """The pass equals ``per_round_series`` bit for bit."""
+    _, survival, results = schedules.time_varying_series(
+        builder, split, sched, horizons, tol, n_max
+    )
+    want_survival, want_results = per_round_series(builder, split, sched, horizons, tol, n_max)
+    assert list(survival) == list(want_survival)
+    for rounds, g in survival.items():
+        np.testing.assert_array_equal(g, want_survival[rounds])
+    assert results == want_results
+    return results
+
+
 def assert_close(got, want):
     if math.isinf(want):
         assert got == want
@@ -471,6 +496,111 @@ class TestWholeVectorSeries:
         for rounds, g in survival.items():
             np.testing.assert_array_equal(g, want_survival[rounds])
         assert results == want_results
+
+    @pytest.mark.parametrize("family", ["cycle6", "torus7", "tree"])
+    def test_chunk_edges_equal_per_round_builds(self, family):
+        # horizons and term caps just before, on and just after the ends of the
+        # first chunks, and of a chunk at its longest
+        builder, split = FAMILY_BUILDERS[family], schedules.SoberSplit(0.5)
+        sched = schedules.TimeSchedule.hyperbolic()
+        k = per_round_transient(builder, split, sched, 1).n_transient
+        edges, longest = chunk_edges(k, 5)
+        rounds = sorted({7, 8, 9, 63, 64, 65} | {
+            edge + step for edge in (*edges, longest) for step in (-1, 0, 1)
+        })
+        assert_same_pass(builder, split, sched, tuple(rounds), 1e-10, 1)
+        capped = 0
+        for n_max in rounds:
+            results = assert_same_pass(builder, split, sched, (1,), 1e-10, n_max)
+            capped += any(res.terms_used == n_max and not res.converged for res in results)
+        assert capped >= len(rounds) // 2
+
+    def test_term_cap_of_ten_thousand_equals_per_round_builds(self):
+        # the 6-cycle with the robber taking 0.9 of the sober mass stops at the cap
+        results = assert_same_pass(
+            cycle6, schedules.SoberSplit(0.9), schedules.TimeSchedule.hyperbolic(),
+            (9_999, 10_000, 10_001), 1e-9, 10_000,
+        )
+        assert {(res.terms_used, res.converged) for res in results} == {(10_000, False)}
+
+    @pytest.mark.parametrize("fault", ["out of range", "zero division"])
+    def test_schedule_failing_past_the_last_round_used(self, fault):
+        # f fails from round `end` on: the pass raises only if it needs that round,
+        # with the error the per-round loop gave, though a chunk may reach past it
+        split, hyper = schedules.SoberSplit(0.5), schedules.TimeSchedule.hyperbolic()
+        horizons = (5,)
+        _, want_survival, want = schedules.time_varying_series(
+            cycle6, split, hyper, horizons, 1e-10, 10_000
+        )
+        used = max(res.terms_used for res in want)
+        k = per_round_transient(cycle6, split, hyper, 1).n_transient
+        assert used not in chunk_edges(k, 20)[0]  # the chunk holding round `used` goes on
+
+        def failing(end):
+            def fn(m):
+                if m < end:
+                    return hyper.fn(m)
+                return 1.5 if fault == "out of range" else 1 / (m - m)
+            return schedules.TimeSchedule(fn, "failing")
+
+        def message(m):
+            if fault == "out of range":
+                return rf"^failing: f\({m}\) = 1\.5 outside \[0, 1\]$"
+            return "^division by zero$"
+
+        error = ScheduleOutOfRange if fault == "out of range" else ZeroDivisionError
+        _, survival, results = schedules.time_varying_series(
+            cycle6, split, failing(used + 1), horizons, 1e-10, 10_000
+        )
+        np.testing.assert_array_equal(survival[5], want_survival[5])
+        assert results == want
+        _, survival, _ = schedules.time_varying_series(cycle6, split, failing(6), horizons)
+        np.testing.assert_array_equal(survival[5], want_survival[5])
+        with pytest.raises(error, match=message(5)):
+            schedules.time_varying_series(cycle6, split, failing(5), horizons)
+        with pytest.raises(error, match=message(used)):
+            schedules.time_varying_series(cycle6, split, failing(used), horizons, 1e-10, 10_000)
+
+    def test_increase_warnings_up_to_the_last_horizon(self):
+        # the series runs past round 40, but only rounds up to the last horizon warn
+        def wave(m):
+            return 0.5 + 0.3 * math.cos(m)
+
+        sched = schedules.TimeSchedule(wave, "wave", limit=0.5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, _, results = schedules.time_varying_series(
+                cycle6, schedules.SoberSplit(0.5), sched, (40,), 1e-10, 1000
+            )
+        assert min(res.terms_used for res in results) > 40
+        assert [str(w.message) for w in caught] == [
+            f"time schedule 'wave' has f(1) = {wave(1):.6g}, not 1",
+            *(f"time schedule 'wave' increases at m={m}"
+              for m in range(2, 41) if wave(m) > wave(m - 1) + 1e-12),
+        ]
+
+    def test_large_chain_steps_one_round_at_a_time(self):
+        # one round matrix of a 299-state chain is over the chunk byte budget, so
+        # its pass steps one round at a time: its traced peak is about 8 such
+        # matrices, where a chunk of 8 rounds would add 16 more
+        k = 299
+        assert schedules._CHUNK_BYTES // (8 * k * k) == 0
+
+        def builder(s):
+            return families.tree_chain(3, k + 1, s)
+
+        sched = schedules.TimeSchedule.hyperbolic()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, survival, _ = schedules.time_varying_series(
+                builder, schedules.SoberSplit(0.5), sched, (40,)
+            )
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert survival[40].shape == (k,)
+        assert peak < 16 * 8 * k * k
 
     def test_limit_outside_unit_interval_refused(self):
         sched = schedules.TimeSchedule(lambda m: 1.0 / m, "over", limit=1.5)
