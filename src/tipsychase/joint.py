@@ -156,29 +156,32 @@ def _move_tables(g: Graph, rules: StrategyRules):
     key = _tie_key_matrix(g, rules)
     targets = np.zeros((2 * V * V + V, maxdeg), dtype=np.int32)
     counts = np.zeros(2 * V * V + V, dtype=np.int32)
-    others = np.arange(V)
 
     for v in range(V):
         ns = np.array(g.neighbors[v], dtype=np.int64)
         targets[2 * V * V + v, : len(ns)] = ns
         counts[2 * V * V + v] = len(ns)
         D = dist[ns]  # (deg, V): distance from each neighbour to every opponent
-        # v as the cop against every robber, then as the robber against every cop
-        for rows, sign in ((v * V + others, 1), (V * V + others * V + v, -1)):
+        # v as the cop against every robber (contiguous rows), then as the
+        # robber against every cop (every V-th row)
+        robber_rows = slice(V * V + v, 2 * V * V, V)
+        for rows, sign in ((slice(v * V, (v + 1) * V), 1), (robber_rows, -1)):
             signed = sign * D
             mask = signed == signed.min(axis=0)
             if key is not None:
                 K = sign * key[ns]
                 mask &= K == np.where(mask, K, np.inf).min(axis=0)
-            n = mask.sum(axis=0)
-            packed = ns[np.argsort(~mask, axis=0, kind="stable")].T
-            packed[np.arange(len(ns)) >= n[:, None]] = 0
-            targets[rows, : len(ns)] = packed
-            counts[rows] = n
+            # ns is ascending, so sorting puts the kept targets first and the
+            # V pads last (merge sort is the fastest numpy sort on rows this short)
+            packed = np.sort(np.where(mask.T, ns, V), axis=1, kind="stable")
+            targets[rows, : len(ns)] = np.where(packed == V, 0, packed)
+            counts[rows] = mask.sum(axis=0)
         # the robber stays put when every neighbour would strictly close the gap
-        stay = V * V + others[(D < dist[v]).all(axis=0)] * V + v
-        targets[stay, 0] = v
-        counts[stay] = 1
+        stay = (D < dist[v]).all(axis=0)
+        robber = targets[robber_rows]  # a view: writes land in targets
+        robber[stay] = 0
+        robber[stay, 0] = v
+        counts[robber_rows][stay] = 1
 
     return targets, counts
 

@@ -10,13 +10,16 @@ and consumes exactly two doubles per round: one to pick the spinner
 outcome (cumulative thresholds c, c+r, c+r+t_c, 1) and one to pick the
 moving player's target.  Reports therefore depend only on (seed, trial
 index, round number) and are bitwise identical however trials are
-batched.
+batched and however long the draw blocks are.
 
 Trials are simulated in lock-step batches with numpy for speed; the
-per-trial streams make that purely an implementation detail.  Each
-round is one gather from the joint chain's move table: the outcome's
-row, its target count, the pick ``min(int(u * n), n - 1)`` and the
-target, which replaces the moving player's vertex.
+per-trial streams make that purely an implementation detail.  Draws
+are refilled in blocks of 64 rounds: once per block, each live trial
+repositions one shared Philox instance by writing its counter into a
+state template of Python ints, then draws only the doubles the block
+can play.  Each round is one gather from the joint chain's move table:
+the outcome's row, its target count, the pick ``min(int(u * n), n - 1)``
+and the target, which replaces the moving player's vertex.
 """
 
 from __future__ import annotations
@@ -76,10 +79,24 @@ class SimReport:
         return float(self.survival_se[rounds - 1])
 
 
-_BLOCK_ROUNDS = 128
+_BLOCK_ROUNDS = 64  # even: a counter tick holds two rounds' draws
 
 
-def _refill(bit_gen, gen, state, draws, local_rows, first_trial, first_round, block):
+def _stream(key: int):
+    """(bit_gen, gen, state): a Philox generator and the state template ``_refill`` writes.
+
+    The template's counter, key and buffer are lists of Python ints, which
+    numpy's state setter reads about twice as fast as uint64 arrays; only
+    the counter words get rewritten.
+    """
+    bit_gen = np.random.Philox(key=key)
+    state = bit_gen.state
+    state["state"] = {k: v.tolist() for k, v in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()
+    return bit_gen, np.random.Generator(bit_gen), state
+
+
+def _refill(bit_gen, gen, state, draws, rows, first_trial, first_round, block):
     """Fill each row's doubles for rounds first_round .. first_round + block - 1.
 
     One Philox instance is repositioned per trial instead of constructing
@@ -90,7 +107,7 @@ def _refill(bit_gen, gen, state, draws, local_rows, first_trial, first_round, bl
     """
     counter = state["state"]["counter"]
     counter[0] = first_round // 2
-    for row in local_rows:
+    for row in rows.tolist():
         counter[1] = first_trial + row
         bit_gen.state = state
         gen.random(out=draws[row, : 2 * block])
@@ -103,12 +120,9 @@ def _run_batch(cfg: SimConfig, tables, lo: int, hi: int, rounds_out, outcome_out
     dist = cfg.graph.distance
     s = cfg.spinner
     thresholds = np.array([s.c, s.c + s.r, s.c + s.r + s.t_c, 1.0])
-    key = cfg.seed & 0xFFFFFFFFFFFFFFFF
 
     size = hi - lo
-    bit_gen = np.random.Philox(key=key)
-    gen = np.random.Generator(bit_gen)
-    state = bit_gen.state  # template; only the counter words get rewritten
+    bit_gen, gen, state = _stream(cfg.seed & 0xFFFFFFFFFFFFFFFF)
 
     cop = np.full(size, cfg.cop_start, dtype=np.int64)
     rob = np.full(size, cfg.robber_start, dtype=np.int64)

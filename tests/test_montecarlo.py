@@ -136,6 +136,40 @@ class TestReproducibility:
         curve = (cfg.trials - np.cumsum(counts)[1:cfg.max_rounds + 1]) / cfg.trials
         assert np.array_equal(rep.survival_curve, curve)
 
+    @pytest.mark.parametrize("cfg", [
+        # games span blocks, some trials are censored and the last block is partial
+        config(spinner=families.SpinnerFour(c=0.0, r=0.5, t_c=0.25, t_r=0.25),
+               robber_start=1, trials=1500, max_rounds=203, seed=3),
+        config(graph=graphs.truncated_tree(3, 6), robber_start=1, trials=1500,
+               escape_distance=3, seed=5),
+    ], ids=["cycle6-censored", "tree-escape"])
+    def test_block_length_changes_nothing(self, cfg, monkeypatch):
+        assert montecarlo._BLOCK_ROUNDS % 2 == 0  # _refill's tick arithmetic needs it
+        reports = []
+        for block in (2, 64, 128):
+            monkeypatch.setattr(montecarlo, "_BLOCK_ROUNDS", block)
+            reports.append(montecarlo.run(cfg))
+        first = reports[0]
+        assert first.censored_fraction > 0.0 or first.escape_fraction > 0.0
+        for rep in reports[1:]:
+            assert rep.survival_curve.tobytes() == first.survival_curve.tobytes()
+            assert rep.survival_se.tobytes() == first.survival_se.tobytes()
+            assert repr(rep) == repr(first)
+
+    def test_refill_matches_documented_stream(self):
+        key, first_trial = 2024, 7
+        first_round = 2 * montecarlo._BLOCK_ROUNDS
+        bit_gen, gen, state = montecarlo._stream(key)
+        draws = np.full((8192, 2 * montecarlo._BLOCK_ROUNDS), np.nan)
+        rows = np.array([0, 5, 8191])
+        montecarlo._refill(bit_gen, gen, state, draws, rows, first_trial, first_round,
+                           montecarlo._BLOCK_ROUNDS)
+        for row in rows.tolist():  # Python ints: k << 64 must not wrap
+            ref = np.random.Generator(np.random.Philox(key=key, counter=(first_trial + row) << 64))
+            ref.random(2 * first_round)  # the rounds before the block
+            assert draws[row].tobytes() == ref.random(draws.shape[1]).tobytes()
+        assert np.isnan(np.delete(draws, rows, axis=0)).all()
+
 
 class TestStatisticalAgreement:
     def test_cycle_mean_matches_expected_rounds(self):
@@ -230,6 +264,9 @@ def test_move_tables_fast_path_matches_generic(rng):
         (graphs.cycle_graph(9), joint.standard_rules()),
         (graphs.friendship_graph(4), joint.standard_rules()),
         (graphs.truncated_tree(3, 4), joint.standard_rules()),
+        # even cycles have robber "stay" rows at vertices of degree 2
+        (graphs.cycle_graph(6), joint.standard_rules()),
+        (graphs.truncated_tree(3, 5), joint.standard_rules()),
     ]:
         V = g.vertex_count
         targets, counts = montecarlo._move_tables(g, rules)
