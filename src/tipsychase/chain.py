@@ -237,11 +237,12 @@ def validate(chain: MarkovChain) -> None:
         raise InvalidParameter("label count does not match matrix size")
     if n:
         sums = P.sum(axis=1)
-        if P.min() < -1e-12 or P.max() > 1 + 1e-12:
-            bad = int(((P < -1e-12) + (P > 1 + 1e-12)).nonzero()[0].min())
+        if not (P.min() >= -1e-12 and P.max() <= 1 + 1e-12):  # false for a NaN entry too
+            out = ((P < -1e-12) + (P > 1 + 1e-12)).nonzero()[0]
+            bad = int(np.concatenate([out, np.flatnonzero(np.isnan(sums))]).min())
             raise NotStochastic(bad, float(sums[bad]), "entry outside [0, 1]")
         off = np.abs(sums - 1.0)
-        if off.max() > ROW_SUM_TOL:
+        if not off.max() <= ROW_SUM_TOL:
             bad = int(np.argmax(off))
             raise NotStochastic(bad, float(sums[bad]))
     diag = P.diagonal() if chain.absorbing else None

@@ -17,6 +17,8 @@ import json
 import math
 import sys
 import warnings
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -92,6 +94,8 @@ def _spinner4(args) -> families.SpinnerFour:
     if args.tc is not None or args.tr is not None:
         if args.c is None or args.r is None or args.tc is None or args.tr is None:
             raise ConfigError("the 4-way spinner needs --c --r --tc --tr")
+        if args.t is not None:
+            raise ConfigError("use either --t or --tc/--tr, not both")
         return families.SpinnerFour(c=args.c, r=args.r, t_c=args.tc, t_r=args.tr)
     return _spinner3(args).as_four()
 
@@ -115,59 +119,58 @@ def _need(args, name, flag):
     return value
 
 
-def _family_builder(args):
-    """The family's hand-built chain as a function of its spinner (``_family_spinner``)."""
+class _Family(NamedTuple):
+    """A family as its flags give it (see ``_family``)."""
+
+    chain: Callable  # spinner -> the hand-built chain
+    size: Callable  # () -> the arena's (vertex count, max degree), refused over the distance cap
+    graph: Callable  # () -> the arena
+    rules: joint.StrategyRules = joint.standard_rules()
+    lumping: Callable = joint.distance_lumping
+    spinner: Callable = _spinner3  # args -> the spinner the hand-built chain plays
+    top: int | None = None  # cycles and trees: the chain's largest distance
+    distance: Callable | None = None  # cycles and trees: (split, sched) -> the distance chain
+
+    def arena(self):
+        """(graph, rules, lumping) of the joint game; the distance-table cap and
+        then the move-table cap refuse an arena before its graph is built."""
+        joint.check_move_tables(*self.size())
+        g = self.graph()
+        return g, self.rules, self.lumping(g)
+
+
+def _family(args) -> _Family:
+    """The family ``--family`` names, each of its flags read once."""
     fam = args.family
     if fam == "cycle":
         n = _need(args, "n", "--n")
-        return lambda s: families.cycle_chain(n, s)
+        return _Family(partial(families.cycle_chain, n), lambda: (graphs._check_cycle(n), 2),
+                       partial(graphs.cycle_graph, n), top=n // 2,
+                       distance=partial(schedules.distance_cycle_chain, n))
     if fam == "petersen":
-        return families.petersen_chain
+        return _Family(families.petersen_chain, lambda: (10, 3), graphs.petersen_graph)
     if fam == "friendship":
         n = _need(args, "n", "--n")
-        return lambda s: families.friendship_chain(n, s)
+        return _Family(partial(families.friendship_chain, n),
+                       lambda: (graphs._check_friendship(n), 2 * n),
+                       partial(graphs.friendship_graph, n), lumping=joint.friendship_lumping,
+                       spinner=_spinner4)
     if fam == "torus7":
-        return families.toroidal7_chain
+        return _Family(families.toroidal7_chain, lambda: (49, 4), partial(graphs.torus_grid, 7, 7),
+                       joint.torus_rules(7, 7), lambda g: joint.torus_lumping(g, 7, 7))
     if fam == "tree":
         delta, call_off = _need(args, "delta", "--delta"), _need(args, "max_dist", "--max-dist")
-        return lambda s: families.tree_chain(delta, call_off, s)
+        return _Family(partial(families.tree_chain, delta, call_off),
+                       lambda: (graphs._check_tree(delta, call_off + 4), delta),
+                       partial(graphs.truncated_tree, delta, call_off + 4), top=call_off,
+                       distance=partial(schedules.distance_tree_chain, delta, call_off))
     raise ConfigError(f"unknown family {args.family!r}")
 
 
-def _family_spinner(args):
-    return _spinner4(args) if args.family == "friendship" else _spinner3(args)
-
-
-def _arena(args):
-    """(graph, rules, lumping) of the family's joint game.
-
-    The arena's vertex count and maximum degree follow from the family's
-    arguments, so the distance-table cap and then the move-table cap are
-    checked before the graph is built or the lumping labels every pair.
-    """
-    fam = args.family
-    rules, lumping = joint.standard_rules(), joint.distance_lumping
-    if fam == "cycle":
-        n = _need(args, "n", "--n")
-        size, build = (graphs._check_cycle(n), 2), lambda: graphs.cycle_graph(n)
-    elif fam == "petersen":
-        size, build = (10, 3), graphs.petersen_graph
-    elif fam == "friendship":
-        n = _need(args, "n", "--n")
-        size, build = (graphs._check_friendship(n), 2 * n), lambda: graphs.friendship_graph(n)
-        lumping = joint.friendship_lumping
-    elif fam == "torus7":
-        size, build = (49, 4), lambda: graphs.torus_grid(7, 7)
-        rules, lumping = joint.torus_rules(7, 7), lambda g: joint.torus_lumping(g, 7, 7)
-    elif fam == "tree":
-        delta, call_off = _need(args, "delta", "--delta"), _need(args, "max_dist", "--max-dist")
-        size = graphs._check_tree(delta, call_off + 4), delta
-        build = lambda: graphs.truncated_tree(delta, call_off + 4)
-    else:
-        raise ConfigError("simulate needs --family or --graph-file")
-    joint.check_move_tables(*size)
-    g = build()
-    return g, rules, lumping(g)
+def _distance_family(args) -> _Family:
+    if args.family not in ("cycle", "tree"):
+        raise ConfigError("distance schedules apply to --family cycle or tree")
+    return _family(args)
 
 
 def _rows(labels, survival, measures, starts=None):
@@ -214,15 +217,16 @@ def cmd_analyze(args) -> int:
             raise ConfigError("--graph-file analysis needs --cop and --robber")
         if args.absorption:
             raise ConfigError("--absorption is not supported with --graph-file")
-    sched = None
+    sched = fam = None
     if args.schedule:
         if args.robber_share is None:
             raise ConfigError("--schedule needs --robber-share")
         split = schedules.SoberSplit(args.robber_share)
         if args.c is not None or args.t is not None:
             raise ConfigError("--schedule and a static spinner are mutually exclusive")
-        linear = args.schedule.partition(":")[0] == "linear"  # the schedule that reads the size
-        sched = schedules.parse_schedule(args.schedule, _max_distance(args) if linear else None)
+        if args.schedule.partition(":")[0] == "linear":  # the schedule that reads the size
+            fam = _distance_family(args)
+        sched = schedules.parse_schedule(args.schedule, None if fam is None else fam.top)
     timed = isinstance(sched, schedules.TimeSchedule)
     if args.terms is not None and not timed:
         raise ConfigError("--terms applies only to a time schedule")
@@ -234,11 +238,12 @@ def cmd_analyze(args) -> int:
             g = graphs.load_edge_list(args.graph_file)
             chain = joint.sparse_joint_chain(g, _spinner4(args), joint.standard_rules())
         elif sched is not None:
-            chain = _distance_chain(args, split, sched)
+            chain = (fam or _distance_family(args)).distance(split, sched)
         else:
             if args.family == "friendship" and (args.tc is None or args.tr is None):
                 raise ConfigError("--family friendship needs the 4-way spinner --c --r --tc --tr")
-            chain = _family_builder(args)(_family_spinner(args))
+            fam = _family(args)
+            chain = fam.chain(fam.spinner(args))
         ts = chain_mod.extract_transient(chain)
         starts = [ts.index(f"({args.cop},{args.robber})")] if args.graph_file else None
         survival = {m: chain_mod.survival_vector(ts, m) for m in rounds_list}
@@ -250,23 +255,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _max_distance(args):
-    """The largest distance of a cycle or tree family's chain; other families are refused."""
-    if args.family == "cycle":
-        return _need(args, "n", "--n") // 2
-    if args.family == "tree":
-        _need(args, "delta", "--delta")
-        return _need(args, "max_dist", "--max-dist")
-    raise ConfigError("distance schedules apply to --family cycle or tree")
-
-
-def _distance_chain(args, split, sched):
-    _max_distance(args)  # refuses the families and arguments a distance chain cannot take
-    if args.family == "cycle":
-        return schedules.distance_cycle_chain(args.n, split, sched)
-    return schedules.distance_tree_chain(args.delta, args.max_dist, split, sched)
-
-
 def _time_varying_rows(args, split, sched, rounds_list):
     if args.family not in ("cycle", "petersen", "torus7", "tree"):
         raise ConfigError("time schedules apply to --family cycle, petersen, torus7, or tree")
@@ -274,7 +262,7 @@ def _time_varying_rows(args, split, sched, rounds_list):
         raise ConfigError("--absorption is not supported with a time schedule")
     n_max = 2000 if args.terms is None else args.terms
     sober, survival, expectation = schedules.time_varying_series(
-        _family_builder(args), split, sched, rounds_list, tol=1e-9, n_max=n_max
+        _family(args).chain, split, sched, rounds_list, tol=1e-9, n_max=n_max
     )
     return _rows(sober.labels, survival,
                  lambda i: {"E": expectation[i].value, "terms": expectation[i].terms_used})
@@ -314,10 +302,10 @@ def cmd_reproduce_table(args) -> int:
 def cmd_verify(args) -> int:
     if args.family not in ("cycle", "petersen", "friendship", "torus7"):
         raise ConfigError("verify supports --family cycle, petersen, friendship, torus7")
-    build = _family_builder(args)
-    spinner = _family_spinner(args)
-    g, rules, lumping = _arena(args)
-    hand = build(spinner)
+    fam = _family(args)
+    spinner = fam.spinner(args)
+    g, rules, lumping = fam.arena()
+    hand = fam.chain(spinner)
     joint_chain = joint.sparse_joint_chain(g, _spinner4(args), rules)
     try:
         lumped = joint.lump(joint_chain, lumping)
@@ -344,9 +332,11 @@ def cmd_simulate(args) -> int:
             raise ConfigError("--graph-file simulation needs --cop and --robber")
         rules = joint.standard_rules()
     else:
-        g, rules, lumping = _arena(args)
-        if args.family == "tree":
-            escape = args.max_dist
+        if args.family is None:
+            raise ConfigError("simulate needs --family or --graph-file")
+        fam = _family(args)
+        g, rules, lumping = fam.arena()
+        escape = fam.top if args.family == "tree" else None
         if cop is None or robber is None:
             if args.start is None:
                 raise ConfigError("simulate needs --start (a state label) or --cop/--robber")

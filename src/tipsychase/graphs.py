@@ -27,6 +27,7 @@ names in downstream output stay stable:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ from . import chain as chain_mod
 from .errors import DisconnectedGraph, InvalidEdge, InvalidParameter
 
 UNREACHED = -1
+_DECIMAL = re.compile("-?[0-9]+")  # an edge-list token: int() alone also takes "1_2" and "١"
 BFS_BLOCK_ENTRIES = 2**20  # rows x max(V, 2E) per source block: the BFS scratch bound
 
 
@@ -260,10 +262,10 @@ def parse_edge_list(text: str) -> Graph:
     tokens = text.split()
     if len(tokens) < 2:
         raise InvalidEdge("edge-list input is missing the 'V E' header")
-    try:
-        values = [int(tok) for tok in tokens]
-    except ValueError as exc:
-        raise InvalidEdge(f"edge-list input is not ASCII decimal: {exc}") from None
+    bad = next((tok for tok in tokens if not _DECIMAL.fullmatch(tok)), None)
+    if bad is not None:
+        raise InvalidEdge(f"edge-list input is not ASCII decimal: {bad!r}")
+    values = [int(tok) for tok in tokens]
     v_count, e_count = values[0], values[1]
     body = values[2:]
     if len(body) != 2 * e_count:

@@ -58,7 +58,7 @@ from .graphs import Graph
 TieBreak = Callable[[Graph, int, int], float]
 
 LUMP_TOL = 1e-9
-PAIR_TABLE_CAP = 8_000_000  # entries; guards the dense (cop, robber) move tables
+PAIR_TABLE_CAP = 8_000_000  # bound on V^2 x max degree (see check_move_tables)
 STATE_CAP = 10**6  # joint states; checked before any move table is built
 
 
@@ -116,10 +116,13 @@ def _tie_key_matrix(g: Graph, rules: StrategyRules):
 
 
 def check_move_tables(vertex_count: int, max_degree: int) -> None:
-    """Raise InvalidParameter when the move tables would exceed PAIR_TABLE_CAP entries.
+    """Raise InvalidParameter when V^2 x max degree exceeds PAIR_TABLE_CAP.
 
-    Arithmetic on the arena's size alone, so a caller can refuse an arena
-    before it builds the graph or its distance table.
+    The tables hold (2V^2 + V) x (max degree + 1) int32 entries, targets
+    and counts: the 1,534-vertex ball tree of degree 3 passes at 7.06 M
+    and allocates 18.8 M entries, about 75 MB.  Arithmetic on the arena's
+    size alone, so a caller can refuse an arena before it builds the graph
+    or its distance table.
     """
     if vertex_count * vertex_count * max_degree > PAIR_TABLE_CAP:
         raise InvalidParameter(

@@ -69,14 +69,17 @@ class SimReport:
     escape_fraction: float
 
     def survival(self, rounds: int) -> float:
-        if rounds == 0:
-            return 1.0
-        return float(self.survival_curve[rounds - 1])
+        return 1.0 if self._horizon(rounds) == 0 else float(self.survival_curve[rounds - 1])
 
     def survival_stderr(self, rounds: int) -> float:
-        if rounds == 0:
-            return 0.0
-        return float(self.survival_se[rounds - 1])
+        return 0.0 if self._horizon(rounds) == 0 else float(self.survival_se[rounds - 1])
+
+    def _horizon(self, rounds: int) -> int:
+        """``rounds``, refused outside 0..max_rounds, the horizons the curve holds."""
+        if not 0 <= rounds <= len(self.survival_curve):
+            raise InvalidParameter(
+                f"survival horizon must be in 0..{len(self.survival_curve)}, got {rounds}")
+        return rounds
 
 
 _BLOCK_ROUNDS = 64  # even: a counter tick holds two rounds' draws

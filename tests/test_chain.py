@@ -89,6 +89,17 @@ class TestValidate:
             assert info.value.row == 1
             assert "outside [0, 1]" in str(info.value)
 
+    def test_nan_entry(self):
+        # every comparison with NaN is false, so the checks are written to fail on it
+        nan = math.nan
+        for as_matrix in AS_MATRIX:
+            for P, absorbing, row in (([[nan, nan], [0.0, 1.0]], 1, 0),
+                                      ([[1.0, 0.0], [0.5, nan]], 0, 1)):
+                c = chain.MarkovChain(("a", "b"), as_matrix(P), frozenset({absorbing}))
+                with pytest.raises(NotStochastic, match="outside \\[0, 1\\]") as info:
+                    chain.validate(c)
+                assert info.value.row == row
+
     def test_undeclared_self_loop_row_is_allowed(self):
         # a pinned-but-not-game-over state stays transient (degenerate spinners)
         c = chain.MarkovChain(("0", "1"), [[1.0, 0.0], [0.0, 1.0]], frozenset({0}))

@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 import json
@@ -484,10 +485,15 @@ class TestSimulate:
 
 SPIN3 = ["--c", "0.3", "--r", "0.4", "--t", "0.3"]
 SPIN4 = ["--c", "0.3", "--r", "0.4", "--tc", "0.15", "--tr", "0.15"]
+MIXED = ["--c", ".3", "--r", ".3", "--t", ".9", "--tc", ".2", "--tr", ".2"]
+GRAPH_FILE = "<a 4-cycle edge-list file>"
 TIME = ["--schedule", "hyper", "--robber-share", "0.5"]
 LINEAR = ["--schedule", "linear", "--robber-share", "0.5"]
 DISTANCE_ONLY = "distance schedules apply to --family cycle or tree"
 CALL_OFF = "InvalidParameter: call-off distance must be >= 2, got {}"
+BOTH_T = "use either --t or --tc/--tr, not both"
+HORIZON = ["simulate", "--family", "cycle", "--n", "6", "--c", "0.3", "--r", "0.3", "--t", "0.4",
+           "--start", "1", "--trials", "100", "--max-rounds", "10", "--rounds"]
 
 
 @pytest.mark.parametrize(
@@ -555,15 +561,54 @@ CALL_OFF = "InvalidParameter: call-off distance must be >= 2, got {}"
          "GraphTooLarge: dense tree chain P would take 0.537 GB, over the cap of 0.537 GB"),
         (["analyze", "--family", "tree", "--delta", "3", "--max-dist", "8192", *SPIN3],
          "GraphTooLarge: dense tree chain P would take 0.537 GB, over the cap of 0.537 GB"),
+        # --t (3-way spinner) next to --tc/--tr (4-way): one spinner must be chosen
+        (["analyze", "--family", "friendship", "--n", "3", *MIXED], BOTH_T),
+        (["simulate", "--family", "friendship", "--n", "3", *MIXED, "--start", "2",
+          "--trials", "10"], BOTH_T),
+        (["verify", "--family", "friendship", "--n", "3", *MIXED], BOTH_T),
+        (["analyze", "--graph-file", GRAPH_FILE, "--cop", "0", "--robber", "2", *MIXED], BOTH_T),
+        # survival horizons outside the simulated curve, 0..--max-rounds
+        ([*HORIZON, "20"], "InvalidParameter: survival horizon must be in 0..10, got 20"),
+        ([*HORIZON, "-1"], "InvalidParameter: survival horizon must be in 0..10, got -1"),
+        ([*HORIZON, "0,10,11"], "InvalidParameter: survival horizon must be in 0..10, got 11"),
     ],
 )
-def test_family_dispatch_refusals(capsys, argv, message):
-    code, out, err = run_cli(argv, capsys)
+def test_family_dispatch_refusals(capsys, tmp_path, argv, message):
+    graph = tmp_path / "cycle4.txt"
+    graph.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n")
+    code, out, err = run_cli([str(graph) if a == GRAPH_FILE else a for a in argv], capsys)
     if message is None:
         assert (code, err) == (0, "")
         assert out.startswith(f"family={argv[2]} ") and out.endswith("-> ok\n")
     else:
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,reads", [
+    (["verify", "--family", "cycle", "--n", "6", *SPIN3], {"n": 1}),
+    (["verify", "--family", "friendship", "--n", "3", *SPIN4], {"n": 1}),
+    (["simulate", "--family", "cycle", "--n", "6", *SPIN3, "--start", "1", "--trials", "10"],
+     {"n": 1}),
+    (["simulate", "--family", "friendship", "--n", "3", *SPIN4, "--start", "2",
+      "--trials", "10"], {"n": 1}),
+    (["simulate", "--family", "tree", "--delta", "3", "--max-dist", "3", *SPIN3, "--start", "1",
+      "--trials", "10"], {"delta": 1, "max_dist": 1}),
+    (["analyze", "--family", "cycle", "--n", "6", *LINEAR], {"n": 1}),
+    (["analyze", "--family", "tree", "--delta", "3", "--max-dist", "5", *LINEAR],
+     {"delta": 1, "max_dist": 1}),
+])
+def test_each_family_flag_is_read_once(capsys, monkeypatch, argv, reads):
+    # one function reads a family's flags; its chain, arena and distance chain share them
+    seen = collections.Counter()
+    need = cli._need
+
+    def counting(args, name, flag):
+        seen[name] += 1
+        return need(args, name, flag)
+
+    monkeypatch.setattr(cli, "_need", counting)
+    code, _, err = run_cli(argv, capsys)
+    assert (code, err, seen) == (0, "", reads)
 
 
 @pytest.mark.parametrize("argv,flag", [

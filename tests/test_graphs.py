@@ -238,6 +238,13 @@ def test_edge_list_errors():
         graphs.parse_edge_list("3 2\n0 1\n")
     with pytest.raises(InvalidEdge):
         graphs.parse_edge_list("2 1\n0 x\n")
+    # int() alone also reads digit separators, a sign and non-ASCII digits
+    for text in ("3 2\n0 1\n1_2 2", "3_0 2\n0 1\n1 2", "3 2\n0 1\n\u0661 2", "3 2\n0 1\n+1 2",
+                 "3 2\n0 1\n--1 2"):
+        with pytest.raises(InvalidEdge, match="not ASCII decimal"):
+            graphs.parse_edge_list(text)
+    with pytest.raises(InvalidEdge, match=r"edge \(-1, 2\) out of range"):
+        graphs.parse_edge_list("3 2\n0 1\n-1 2")
 
 
 def test_distance_table_symmetry_and_triangle(rng):

@@ -217,6 +217,16 @@ class TestReportShape:
         assert np.all((0.0 <= curve) & (curve <= 1.0))
         assert rep.survival(0) == 1.0
 
+    def test_survival_horizon_outside_curve_refused(self):
+        # horizons 0..max_rounds are read; a negative one must not index from the end
+        rep = montecarlo.run(config(trials=100, max_rounds=10))
+        assert rep.survival(10) == rep.survival_curve[-1] == rep.censored_fraction
+        assert rep.survival_stderr(10) == rep.survival_se[-1]
+        for rounds in (-1, 11, 20):
+            for read in (rep.survival, rep.survival_stderr):
+                with pytest.raises(InvalidParameter, match=f"in 0..10, got {rounds}"):
+                    read(rounds)
+
     def test_censoring_reported_as_lower_bound(self):
         rep = montecarlo.run(config(trials=4000, max_rounds=5))
         assert rep.censored_fraction > 0.0
