@@ -6,7 +6,8 @@ diff it), ``verify`` (joint-chain lumpability check of a hand-built
 family chain), ``simulate`` (seeded Monte-Carlo runs), ``closed-form``
 (ruin formulas for the tree game).
 
-Exit codes: 0 success, 1 tolerance failure, 2 configuration error.
+Exit codes: 0 success, 1 tolerance failure, 2 configuration error, and
+141 (128 + SIGPIPE) when the reader closes stdout before the output ends.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import warnings
 from functools import partial
@@ -116,7 +118,15 @@ def _need(args, name, flag):
     value = getattr(args, name)
     if value is None:
         raise ConfigError(f"--family {args.family} needs {flag}")
+    args.read.add(name)
     return value
+
+
+def _refuse_unread(args, scenario, read):
+    """Refuse a family flag that was given but is not in ``read``, the flags ``scenario`` read."""
+    for name in ("family", "n", "delta", "max_dist"):
+        if name not in read and getattr(args, name) is not None:
+            raise ConfigError(f"{scenario} does not take --{name.replace('_', '-')}")
 
 
 class _Family(NamedTuple):
@@ -128,7 +138,7 @@ class _Family(NamedTuple):
     rules: joint.StrategyRules = joint.standard_rules()
     lumping: Callable = joint.distance_lumping
     spinner: Callable = _spinner3  # args -> the spinner the hand-built chain plays
-    top: int | None = None  # cycles and trees: the chain's largest distance
+    escape: int | None = None  # trees: the call-off, where the simulated robber escapes
     distance: Callable | None = None  # cycles and trees: (split, sched) -> the distance chain
 
     def arena(self):
@@ -140,37 +150,36 @@ class _Family(NamedTuple):
 
 
 def _family(args) -> _Family:
-    """The family ``--family`` names, each of its flags read once."""
-    fam = args.family
-    if fam == "cycle":
+    """The family ``--family`` names, each of its flags read once through ``_need``,
+    which notes it in ``args.read``; a family flag that is not read is refused."""
+    args.read = {"family"}
+    name = args.family
+    if name == "cycle":
         n = _need(args, "n", "--n")
-        return _Family(partial(families.cycle_chain, n), lambda: (graphs._check_cycle(n), 2),
-                       partial(graphs.cycle_graph, n), top=n // 2,
-                       distance=partial(schedules.distance_cycle_chain, n))
-    if fam == "petersen":
-        return _Family(families.petersen_chain, lambda: (10, 3), graphs.petersen_graph)
-    if fam == "friendship":
+        fam = _Family(partial(families.cycle_chain, n), lambda: (graphs._check_cycle(n), 2),
+                      partial(graphs.cycle_graph, n),
+                      distance=partial(schedules.distance_cycle_chain, n))
+    elif name == "petersen":
+        fam = _Family(families.petersen_chain, lambda: (10, 3), graphs.petersen_graph)
+    elif name == "friendship":
         n = _need(args, "n", "--n")
-        return _Family(partial(families.friendship_chain, n),
-                       lambda: (graphs._check_friendship(n), 2 * n),
-                       partial(graphs.friendship_graph, n), lumping=joint.friendship_lumping,
-                       spinner=_spinner4)
-    if fam == "torus7":
-        return _Family(families.toroidal7_chain, lambda: (49, 4), partial(graphs.torus_grid, 7, 7),
-                       joint.torus_rules(7, 7), lambda g: joint.torus_lumping(g, 7, 7))
-    if fam == "tree":
+        fam = _Family(partial(families.friendship_chain, n),
+                      lambda: (graphs._check_friendship(n), 2 * n),
+                      partial(graphs.friendship_graph, n), lumping=joint.friendship_lumping,
+                      spinner=_spinner4)
+    elif name == "torus7":
+        fam = _Family(families.toroidal7_chain, lambda: (49, 4), partial(graphs.torus_grid, 7, 7),
+                      joint.torus_rules(7, 7), lambda g: joint.torus_lumping(g, 7, 7))
+    elif name == "tree":
         delta, call_off = _need(args, "delta", "--delta"), _need(args, "max_dist", "--max-dist")
-        return _Family(partial(families.tree_chain, delta, call_off),
-                       lambda: (graphs._check_tree(delta, call_off + 4), delta),
-                       partial(graphs.truncated_tree, delta, call_off + 4), top=call_off,
-                       distance=partial(schedules.distance_tree_chain, delta, call_off))
-    raise ConfigError(f"unknown family {args.family!r}")
-
-
-def _distance_family(args) -> _Family:
-    if args.family not in ("cycle", "tree"):
-        raise ConfigError("distance schedules apply to --family cycle or tree")
-    return _family(args)
+        fam = _Family(partial(families.tree_chain, delta, call_off),
+                      lambda: (graphs._check_tree(delta, call_off + 4), delta),
+                      partial(graphs.truncated_tree, delta, call_off + 4), escape=call_off,
+                      distance=partial(schedules.distance_tree_chain, delta, call_off))
+    else:
+        raise ConfigError(f"unknown family {name!r}")
+    _refuse_unread(args, f"--family {name}", args.read)
+    return fam
 
 
 def _rows(labels, survival, measures, starts=None):
@@ -217,16 +226,16 @@ def cmd_analyze(args) -> int:
             raise ConfigError("--graph-file analysis needs --cop and --robber")
         if args.absorption:
             raise ConfigError("--absorption is not supported with --graph-file")
-    sched = fam = None
+    elif args.cop is not None or args.robber is not None:
+        raise ConfigError("--cop and --robber apply only with --graph-file")
+    sched = None
     if args.schedule:
         if args.robber_share is None:
             raise ConfigError("--schedule needs --robber-share")
         split = schedules.SoberSplit(args.robber_share)
-        if args.c is not None or args.t is not None:
+        if any(getattr(args, name) is not None for name in ("c", "r", "t", "tc", "tr")):
             raise ConfigError("--schedule and a static spinner are mutually exclusive")
-        if args.schedule.partition(":")[0] == "linear":  # the schedule that reads the size
-            fam = _distance_family(args)
-        sched = schedules.parse_schedule(args.schedule, None if fam is None else fam.top)
+        sched = schedules.parse_schedule(args.schedule)
     timed = isinstance(sched, schedules.TimeSchedule)
     if args.terms is not None and not timed:
         raise ConfigError("--terms applies only to a time schedule")
@@ -236,9 +245,12 @@ def cmd_analyze(args) -> int:
     else:
         if args.graph_file:
             g = graphs.load_edge_list(args.graph_file)
+            _refuse_unread(args, "--graph-file", ())
             chain = joint.sparse_joint_chain(g, _spinner4(args), joint.standard_rules())
         elif sched is not None:
-            chain = (fam or _distance_family(args)).distance(split, sched)
+            if args.family not in ("cycle", "tree"):
+                raise ConfigError("distance schedules apply to --family cycle or tree")
+            chain = _family(args).distance(split, sched)
         else:
             if args.family == "friendship" and (args.tc is None or args.tr is None):
                 raise ConfigError("--family friendship needs the 4-way spinner --c --r --tc --tr")
@@ -323,11 +335,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    rounds_list = _rounds_list(args)
     cop, robber, escape = args.cop, args.robber, None
     if args.start is not None and (cop is not None or robber is not None):
         raise ConfigError("use either --start or --cop/--robber, not both")
     if args.graph_file:
         g = graphs.load_edge_list(args.graph_file)
+        _refuse_unread(args, "--graph-file", ())
         if cop is None or robber is None:
             raise ConfigError("--graph-file simulation needs --cop and --robber")
         rules = joint.standard_rules()
@@ -336,7 +350,7 @@ def cmd_simulate(args) -> int:
             raise ConfigError("simulate needs --family or --graph-file")
         fam = _family(args)
         g, rules, lumping = fam.arena()
-        escape = fam.top if args.family == "tree" else None
+        escape = fam.escape
         if cop is None or robber is None:
             if args.start is None:
                 raise ConfigError("simulate needs --start (a state label) or --cop/--robber")
@@ -353,6 +367,8 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         escape_distance=escape,
     )
+    for m in rounds_list:  # refused before the trials run
+        montecarlo.check_horizon(m, cfg.max_rounds)
     report = montecarlo.run(cfg)
     row = {
         "trials": report.trials,
@@ -363,7 +379,7 @@ def cmd_simulate(args) -> int:
         "captured": report.capture_fraction,
         "escaped": report.escape_fraction,
     }
-    for m in _rounds_list(args):
+    for m in rounds_list:
         row[f"G{m}"] = report.survival(m)
         row[f"G{m}_se"] = report.survival_stderr(m)
     emit(list(row), [row], args.format, args.digits)
@@ -502,7 +518,14 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    """``main`` as a program: a reader that closes stdout early ends it with 141."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout is flushed again at exit: aim it at /dev/null first
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, the status a shell gives a writer killed by it
+    sys.exit(code)
 
 
 if __name__ == "__main__":

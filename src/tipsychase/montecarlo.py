@@ -47,6 +47,18 @@ class SimConfig:
     seed: int
     escape_distance: int | None = None
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise InvalidParameter(f"trials must be >= 1, got {self.trials}")
+        if self.max_rounds < 1:
+            raise InvalidParameter(f"max_rounds must be >= 1, got {self.max_rounds}")
+
+
+def check_horizon(rounds: int, max_rounds: int) -> None:
+    """Refuse ``rounds`` outside 0..max_rounds, the horizons a run's curve holds."""
+    if not 0 <= rounds <= max_rounds:
+        raise InvalidParameter(f"survival horizon must be in 0..{max_rounds}, got {rounds}")
+
 
 @dataclass(frozen=True)
 class SimReport:
@@ -69,17 +81,12 @@ class SimReport:
     escape_fraction: float
 
     def survival(self, rounds: int) -> float:
-        return 1.0 if self._horizon(rounds) == 0 else float(self.survival_curve[rounds - 1])
+        check_horizon(rounds, len(self.survival_curve))
+        return 1.0 if rounds == 0 else float(self.survival_curve[rounds - 1])
 
     def survival_stderr(self, rounds: int) -> float:
-        return 0.0 if self._horizon(rounds) == 0 else float(self.survival_se[rounds - 1])
-
-    def _horizon(self, rounds: int) -> int:
-        """``rounds``, refused outside 0..max_rounds, the horizons the curve holds."""
-        if not 0 <= rounds <= len(self.survival_curve):
-            raise InvalidParameter(
-                f"survival horizon must be in 0..{len(self.survival_curve)}, got {rounds}")
-        return rounds
+        check_horizon(rounds, len(self.survival_se))
+        return 0.0 if rounds == 0 else float(self.survival_se[rounds - 1])
 
 
 _BLOCK_ROUNDS = 64  # even: a counter tick holds two rounds' draws
@@ -177,10 +184,6 @@ def run(cfg: SimConfig) -> SimReport:
     or round cap whose result arrays (8 bytes an entry, one per trial or
     per round) would exceed ``chain.DENSE_BYTE_CAP``.
     """
-    if cfg.trials < 1:
-        raise InvalidParameter(f"trials must be >= 1, got {cfg.trials}")
-    if cfg.max_rounds < 1:
-        raise InvalidParameter(f"max_rounds must be >= 1, got {cfg.max_rounds}")
     V = cfg.graph.vertex_count
     if not (0 <= cfg.cop_start < V and 0 <= cfg.robber_start < V):
         raise InvalidStart("start positions out of range")

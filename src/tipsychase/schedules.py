@@ -19,10 +19,11 @@ this game is affine in the spinner, so T_m = (1 - t_m) T(0) + t_m T(1):
 a pass builds two chains.
 
 Distance-varying: state d of a cycle or tree chain plays with
-t_d = delta(d); the chain itself is static, so the ordinary matrix
-machinery applies once the rows are assembled.  The rows are the ones
-:mod:`tipsychase.families` writes for the static chains, which are the
-case of a constant delta.
+t_d = delta(d, top), top the chain's largest distance (n // 2 on the
+n-cycle, the call-off on the tree); the chain itself is static, so the
+ordinary matrix machinery applies once the rows are assembled.  The rows
+are the ones :mod:`tipsychase.families` writes for the static chains,
+which are the case of a constant delta.
 """
 
 from __future__ import annotations
@@ -103,30 +104,28 @@ class TimeSchedule:
 
 @dataclass(frozen=True)
 class DistanceSchedule:
-    """Tipsiness as a function of the current distance state."""
+    """Tipsiness delta(d, top) at distance d of a chain whose largest distance is top."""
 
-    delta: Callable[[int], float]
+    delta: Callable[[int, int], float]
     name: str = "custom"
 
-    def at(self, d: int) -> float:
-        value = float(self.delta(d))
+    def at(self, d: int, top: int) -> float:
+        value = float(self.delta(d, top))
         if not 0.0 <= value <= 1.0:
             raise ScheduleOutOfRange(f"{self.name}: delta({d}) = {value!r} outside [0, 1]")
         return value
 
-    def warn_if_nonstandard(self):
-        if abs(self.at(1)) > 1e-12:
+    def warn_if_nonstandard(self, top: int):
+        if abs(self.at(1, top)) > 1e-12:
             warnings.warn(
-                f"distance schedule {self.name!r} has delta(1) = {self.at(1):.6g}, not 0",
+                f"distance schedule {self.name!r} has delta(1) = {self.at(1, top):.6g}, not 0",
                 stacklevel=3,
             )
 
     @classmethod
-    def linear(cls, max_distance: int) -> "DistanceSchedule":
-        """delta(d) = (d - 1) / max_distance."""
-        if max_distance < 1:
-            raise InvalidParameter(f"max_distance must be >= 1, got {max_distance}")
-        return cls(lambda d: (d - 1) / max_distance, f"linear:{max_distance}")
+    def linear(cls) -> "DistanceSchedule":
+        """delta(d) = (d - 1) / top, from 0 at distance 1 to near 1 at the largest."""
+        return cls(lambda d, top: (d - 1) / top, "linear")
 
     @classmethod
     def exponential(cls, base: float = 1.2) -> "DistanceSchedule":
@@ -134,7 +133,7 @@ class DistanceSchedule:
         if base <= 1.0:
             raise InvalidParameter(f"base must be > 1, got {base}")
         return cls(
-            lambda d: (1.0 - base ** (1 - d)) / (1.0 + base ** (1 - d)), f"exp:{base:g}"
+            lambda d, top: (1.0 - base ** (1 - d)) / (1.0 + base ** (1 - d)), f"exp:{base:g}"
         )
 
 
@@ -312,49 +311,38 @@ def time_varying_expectation(
     return results[sober.index(d)]
 
 
-def distance_cycle_chain(
-    n: int, split: SoberSplit, sched: DistanceSchedule, boundary: str = "matrix"
-) -> MarkovChain:
-    """Cycle distance chain where row d plays with tipsiness delta(d).
+def distance_cycle_chain(n: int, split: SoberSplit, sched: DistanceSchedule) -> MarkovChain:
+    """Cycle distance chain where row d plays with tipsiness delta(d, n // 2).
 
     Even cycles keep the sober robber pinned at the maximum distance
     (self-loop r_max, drop c_max + t_max); odd cycles use the half-tipsy
     split there like the static builder.
-
-    ``boundary`` selects the tipsiness fed to the maximum-distance row:
-    "matrix" (default) evaluates delta at the maximum distance itself;
-    "tables" reuses delta(max - 1) there, which is what the run behind
-    the bundled reference tables did.  The two agree at robber_share 0
-    and drift apart as the robber's sober share grows.
     """
-    if boundary not in ("matrix", "tables"):
-        raise InvalidParameter(f"boundary must be 'matrix' or 'tables', got {boundary!r}")
-    m = n // 2
-    last = m if boundary == "matrix" or m == 1 else m - 1
-    built = families._cycle(n, lambda d: split.spinner(sched.at(min(d, last))))
-    sched.warn_if_nonstandard()
+    top = n // 2
+    built = families._cycle(n, lambda d: split.spinner(sched.at(d, top)))
+    sched.warn_if_nonstandard(top)
     return built
 
 
 def distance_tree_chain(
     degree: int, call_off: int, split: SoberSplit, sched: DistanceSchedule
 ) -> MarkovChain:
-    """Tree distance chain with per-state tipsiness; both ends absorb."""
-    built = families._tree(degree, call_off, lambda d: split.spinner(sched.at(d)))
-    sched.warn_if_nonstandard()
+    """Tree distance chain with per-state tipsiness delta(d, call_off); both ends absorb."""
+    built = families._tree(degree, call_off, lambda d: split.spinner(sched.at(d, call_off)))
+    sched.warn_if_nonstandard(call_off)
     return built
 
 
 _ARG_COUNTS = {"hyper": 2, "exp2": 2, "linear": 0, "exp12": 1}
 
 
-def parse_schedule(token: str, max_distance: int | None = None):
+def parse_schedule(token: str):
     """Parse the CLI schedule mini-language.
 
     Time schedules: ``hyper:NUM,SHIFT`` (NUM/(m+SHIFT), default 4,3) and
     ``exp2:NUM,SHIFT`` (NUM/(2^m+SHIFT), default 4,2).  Distance
-    schedules: ``linear`` ((d-1)/max_distance) and ``exp12`` (the base-
-    1.2 ramp).  Returns a TimeSchedule or DistanceSchedule.
+    schedules: ``linear`` ((d-1)/top) and ``exp12`` (the base-1.2 ramp).
+    Returns a TimeSchedule or DistanceSchedule.
     """
     name, _, argtext = token.partition(":")
     try:
@@ -369,9 +357,7 @@ def parse_schedule(token: str, max_distance: int | None = None):
     if name == "exp2":
         return TimeSchedule.exponential2(*args) if args else TimeSchedule.exponential2()
     if name == "linear":
-        if max_distance is None:
-            raise InvalidParameter("schedule 'linear' needs the chain's maximum distance")
-        return DistanceSchedule.linear(max_distance)
+        return DistanceSchedule.linear()
     if name == "exp12":
         return DistanceSchedule.exponential(*args) if args else DistanceSchedule.exponential()
     raise InvalidParameter(

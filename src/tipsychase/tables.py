@@ -181,6 +181,12 @@ def _split(cell):
     return schedules.SoberSplit(cell.param("share"))
 
 
+def _boundary_early(sched):
+    """``sched`` as the dist10.3* reference run played it (their notes' boundary='tables'):
+    the largest distance reuses the tipsiness of the one below."""
+    return schedules.DistanceSchedule(lambda d, top: sched.at(min(d, top - 1), top), sched.name)
+
+
 def _compute_time(cells, schedule):
     """One forward pass per parameter set and E term cap; every G cell reads any of them."""
     builder = lambda s: families.cycle_chain(6, s)
@@ -293,7 +299,7 @@ TABLES: dict[str, TableSpec] = {
     "dist10.3a": TableSpec(
         "10-cycle, tipsiness linear in distance",
         _per_params(lambda cell: schedules.distance_cycle_chain(
-            10, _split(cell), schedules.DistanceSchedule.linear(5), boundary="tables"
+            10, _split(cell), _boundary_early(schedules.DistanceSchedule.linear())
         )),
         _tol_last_digit,
         notes=(
@@ -306,7 +312,7 @@ TABLES: dict[str, TableSpec] = {
     "dist10.3b": TableSpec(
         "10-cycle, tipsiness exponential in distance (base 1.2)",
         _per_params(lambda cell: schedules.distance_cycle_chain(
-            10, _split(cell), schedules.DistanceSchedule.exponential(), boundary="tables"
+            10, _split(cell), _boundary_early(schedules.DistanceSchedule.exponential())
         )),
         _tol_last_digit,
         notes=(
@@ -316,7 +322,7 @@ TABLES: dict[str, TableSpec] = {
     "tree10.4a": TableSpec(
         "Regular tree, degree 4, call-off 10, tipsiness linear in distance",
         _per_params(lambda cell: schedules.distance_tree_chain(
-            4, 10, _split(cell), schedules.DistanceSchedule.linear(10)
+            4, 10, _split(cell), schedules.DistanceSchedule.linear()
         )),
         _tol_last_digit,
     ),

@@ -118,7 +118,7 @@ def test_criterion_7_distance_varying_tables():
         rep, table_ok, detail = reproduce_ok(table_id)
         ok &= table_ok
         details.append(detail)
-    for sched in (schedules.DistanceSchedule.linear(5), schedules.DistanceSchedule.exponential()):
+    for sched in (schedules.DistanceSchedule.linear(), schedules.DistanceSchedule.exponential()):
         c = schedules.distance_cycle_chain(10, schedules.SoberSplit(1.0), sched)
         ts = chain.extract_transient(c)
         for d in ts.labels:

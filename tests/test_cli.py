@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -567,13 +568,44 @@ HORIZON = ["simulate", "--family", "cycle", "--n", "6", "--c", "0.3", "--r", "0.
           "--trials", "10"], BOTH_T),
         (["verify", "--family", "friendship", "--n", "3", *MIXED], BOTH_T),
         (["analyze", "--graph-file", GRAPH_FILE, "--cop", "0", "--robber", "2", *MIXED], BOTH_T),
-        # survival horizons outside the simulated curve, 0..--max-rounds
+        # survival horizons outside the simulated curve, 0..--max-rounds, refused before
+        # any trial runs
         ([*HORIZON, "20"], "InvalidParameter: survival horizon must be in 0..10, got 20"),
         ([*HORIZON, "-1"], "InvalidParameter: survival horizon must be in 0..10, got -1"),
         ([*HORIZON, "0,10,11"], "InvalidParameter: survival horizon must be in 0..10, got 11"),
+        ([*HORIZON, "x"], "--rounds takes integers, got 'x'"),
+        ([*HORIZON[:-2], "0", "--rounds", "3"], "InvalidParameter: max_rounds must be >= 1, got 0"),
+        # a family flag the scenario does not read
+        (["analyze", "--graph-file", GRAPH_FILE, "--family", "cycle", "--n", "5", "--cop", "0",
+          "--robber", "2", *SPIN3], "--graph-file does not take --family"),
+        (["simulate", "--graph-file", GRAPH_FILE, "--family", "cycle", "--n", "5", "--cop", "0",
+          "--robber", "2", *SPIN3, "--trials", "10"], "--graph-file does not take --family"),
+        (["analyze", "--graph-file", GRAPH_FILE, "--n", "5", "--cop", "0", "--robber", "2",
+          *SPIN3], "--graph-file does not take --n"),
+        (["analyze", "--family", "petersen", "--n", "9", *SPIN3],
+         "--family petersen does not take --n"),
+        (["verify", "--family", "petersen", "--delta", "3", *SPIN3],
+         "--family petersen does not take --delta"),
+        (["analyze", "--family", "tree", "--delta", "3", "--max-dist", "5", "--n", "7", *SPIN3],
+         "--family tree does not take --n"),
+        (["analyze", "--family", "cycle", "--n", "6", *TIME, "--max-dist", "4"],
+         "--family cycle does not take --max-dist"),
+        # a spinner flag next to a schedule, and a start without a graph file
+        (["analyze", "--family", "cycle", "--n", "6", *TIME, "--r", ".3"],
+         "--schedule and a static spinner are mutually exclusive"),
+        (["analyze", "--family", "cycle", "--n", "6", *TIME, "--tc", ".3", "--tr", ".1"],
+         "--schedule and a static spinner are mutually exclusive"),
+        (["analyze", "--family", "cycle", "--n", "6", *LINEAR, "--r", ".3"],
+         "--schedule and a static spinner are mutually exclusive"),
+        (["analyze", "--family", "cycle", "--n", "6", *SPIN3, "--cop", "0", "--robber", "2"],
+         "--cop and --robber apply only with --graph-file"),
     ],
 )
-def test_family_dispatch_refusals(capsys, tmp_path, argv, message):
+def test_family_dispatch_refusals(capsys, tmp_path, monkeypatch, argv, message):
+    def no_run(cfg):
+        raise AssertionError("a refused simulate ran its trials")
+
+    monkeypatch.setattr(montecarlo, "run", no_run)
     graph = tmp_path / "cycle4.txt"
     graph.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n")
     code, out, err = run_cli([str(graph) if a == GRAPH_FILE else a for a in argv], capsys)
@@ -624,6 +656,23 @@ def test_removed_options_are_unknown(capsys, argv, flag):
         cli.main([*argv, *flag])
     assert info.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # two outputs larger than a pipe's buffer, so the write fails whenever the reader closes
+    ["analyze", "--family", "cycle", "--n", "3001", *SPIN3, "--format", "json"],
+    ["closed-form", "--delta", "3", "--max-dist", "8191", *SPIN3],
+    ["reproduce-table", "torus8.1"],
+])
+def test_closed_stdout_ends_quietly(argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "tipsychase.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src))
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (141, b"")
 
 
 def test_cli_import_loads_no_scipy_module():

@@ -34,6 +34,9 @@ BASES = [
      "--absorption"],
     ["analyze", "--family", "cycle", "--n", "3", "--schedule", "hyper:2,1",
      "--robber-share", "0.5", "--rounds", "2", "--terms", "50"],
+    ["analyze", "--family", "cycle", "--n", "3", "--schedule", "linear", "--robber-share", "0.5",
+     "--rounds", "2", "--absorption"],
+    ["verify", "--family", "cycle", "--n", "3", *SPINNER],
     ["simulate", "--trials", "3", "--max-rounds", "30", "--family", "cycle", "--n", "3",
      *SPINNER, "--start", "1", "--rounds", "2"],
     ["closed-form", "--delta", "3", "--max-dist", "3", *SPINNER, "--unbounded"],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import FAMILY_BUILDERS, random_spinner3
-from tipsychase import chain, families, schedules
+from tipsychase import chain, families, schedules, tables
 from tipsychase.errors import InvalidParameter, InvalidState, ScheduleOutOfRange
 
 
@@ -32,12 +32,12 @@ class TestScheduleTypes:
             )
 
     def test_distance_schedule_builtins(self):
-        lin = schedules.DistanceSchedule.linear(5)
-        assert lin.at(1) == 0.0
-        assert lin.at(5) == pytest.approx(0.8)
+        lin = schedules.DistanceSchedule.linear()
+        assert lin.at(1, 5) == 0.0
+        assert lin.at(5, 5) == pytest.approx(0.8)
         exp = schedules.DistanceSchedule.exponential()
-        assert exp.at(1) == 0.0
-        assert exp.at(2) == pytest.approx((1 - 1 / 1.2) / (1 + 1 / 1.2))
+        assert exp.at(1, 5) == 0.0
+        assert exp.at(2, 5) == pytest.approx((1 - 1 / 1.2) / (1 + 1 / 1.2))
 
     def test_sober_split_validation(self):
         with pytest.raises(InvalidParameter):
@@ -65,12 +65,8 @@ class TestScheduleTypes:
     def test_parse_schedule_tokens(self):
         assert isinstance(schedules.parse_schedule("hyper:4,3"), schedules.TimeSchedule)
         assert isinstance(schedules.parse_schedule("exp2:4,2"), schedules.TimeSchedule)
-        assert isinstance(
-            schedules.parse_schedule("linear", max_distance=5), schedules.DistanceSchedule
-        )
+        assert isinstance(schedules.parse_schedule("linear"), schedules.DistanceSchedule)
         assert isinstance(schedules.parse_schedule("exp12"), schedules.DistanceSchedule)
-        with pytest.raises(InvalidParameter):
-            schedules.parse_schedule("linear")
         with pytest.raises(InvalidParameter):
             schedules.parse_schedule("sigmoid")
 
@@ -161,24 +157,20 @@ class TestTimeVaryingExpectation:
 
 class TestDistanceCycleChain:
     def test_reference_values_tables_mode(self):
-        lin = schedules.DistanceSchedule.linear(5)
-        c = schedules.distance_cycle_chain(
-            10, schedules.SoberSplit(0.5), lin, boundary="tables"
-        )
+        lin = tables._boundary_early(schedules.DistanceSchedule.linear())
+        c = schedules.distance_cycle_chain(10, schedules.SoberSplit(0.5), lin)
         ts = chain.extract_transient(c)
         assert chain.expected_rounds(ts, "1").value == pytest.approx(9.25, abs=0.01)
         assert chain.survival_probability(ts, "1", 20) == pytest.approx(0.148, abs=0.001)
-        exp = schedules.DistanceSchedule.exponential()
-        c2 = schedules.distance_cycle_chain(
-            10, schedules.SoberSplit(0.5), exp, boundary="tables"
-        )
+        exp = tables._boundary_early(schedules.DistanceSchedule.exponential())
+        c2 = schedules.distance_cycle_chain(10, schedules.SoberSplit(0.5), exp)
         assert chain.expected_rounds(chain.extract_transient(c2), "5").value == pytest.approx(
             27.89, abs=0.01
         )
 
     def test_matrix_mode_follows_displayed_rows(self):
         # with every row at its own delta(d) the expectation solves to 82/9
-        lin = schedules.DistanceSchedule.linear(5)
+        lin = schedules.DistanceSchedule.linear()
         c = schedules.distance_cycle_chain(10, schedules.SoberSplit(0.5), lin)
         ts = chain.extract_transient(c)
         assert chain.expected_rounds(ts, "1").value == pytest.approx(82 / 9, abs=1e-9)
@@ -189,17 +181,15 @@ class TestDistanceCycleChain:
         )
 
     def test_all_sober_mass_to_cop(self):
-        lin = schedules.DistanceSchedule.linear(5)
+        lin = schedules.DistanceSchedule.linear()
         c = schedules.distance_cycle_chain(10, schedules.SoberSplit(0.0), lin)
         ts = chain.extract_transient(c)
         assert chain.expected_rounds(ts, "1").value == pytest.approx(1.0, abs=1e-12)
 
     def test_all_sober_mass_to_robber_diverges(self):
-        lin = schedules.DistanceSchedule.linear(5)
-        for boundary in ("matrix", "tables"):
-            c = schedules.distance_cycle_chain(
-                10, schedules.SoberSplit(1.0), lin, boundary=boundary
-            )
+        lin = schedules.DistanceSchedule.linear()
+        for sched in (lin, tables._boundary_early(lin)):
+            c = schedules.distance_cycle_chain(10, schedules.SoberSplit(1.0), sched)
             ts = chain.extract_transient(c)
             assert chain.expected_rounds(ts, "3").is_infinite
             assert chain.survival_probability(ts, "3", 20) == pytest.approx(1.0, abs=1e-12)
@@ -208,28 +198,28 @@ class TestDistanceCycleChain:
         for _ in range(5):
             t0 = float(rng.uniform(0.0, 0.9))
             share = float(rng.uniform(0, 1))
-            const = schedules.DistanceSchedule(lambda d: t0, "const")
+            const = schedules.DistanceSchedule(lambda d, top: t0, "const")
             for n in (10, 9, 3):
                 static = families.cycle_chain(n, families.SpinnerThree.from_split(t0, share))
-                for boundary in ("matrix", "tables"):
+                for sched in (const, tables._boundary_early(const)):
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore")
                         dyn = schedules.distance_cycle_chain(
-                            n, schedules.SoberSplit(share), const, boundary
+                            n, schedules.SoberSplit(share), sched
                         )
                     np.testing.assert_array_equal(dyn.P, static.P)
 
     def test_odd_cycle_boundary(self):
-        lin = schedules.DistanceSchedule.linear(4)
+        lin = schedules.DistanceSchedule.linear()
         c = schedules.distance_cycle_chain(9, schedules.SoberSplit(0.5), lin)
-        t4 = lin.at(4)
+        t4 = lin.at(4, 4)
         s = schedules.SoberSplit(0.5).spinner(t4)
         assert c.P[4, 4] == pytest.approx(s.r + s.t / 2, abs=1e-15)
         assert c.P[4, 3] == pytest.approx(s.c + s.t / 2, abs=1e-15)
 
     def test_validates_across_shares(self):
         for sched in (
-            schedules.DistanceSchedule.linear(5),
+            schedules.DistanceSchedule.linear(),
             schedules.DistanceSchedule.exponential(),
         ):
             for k in range(11):
@@ -239,7 +229,7 @@ class TestDistanceCycleChain:
 
 class TestDistanceTreeChain:
     def test_reference_values_linear(self):
-        lin = schedules.DistanceSchedule.linear(10)
+        lin = schedules.DistanceSchedule.linear()
         c = schedules.distance_tree_chain(4, 10, schedules.SoberSplit(0.5), lin)
         ts = chain.extract_transient(c)
         assert chain.expected_rounds(ts, "1").value == pytest.approx(7.3, abs=0.05)
@@ -252,7 +242,7 @@ class TestDistanceTreeChain:
         assert chain.expected_rounds(ts, "1").value == pytest.approx(6.6, abs=0.05)
 
     def test_all_sober_mass_to_cop_catches_immediately(self):
-        lin = schedules.DistanceSchedule.linear(10)
+        lin = schedules.DistanceSchedule.linear()
         c = schedules.distance_tree_chain(4, 10, schedules.SoberSplit(0.0), lin)
         ts = chain.extract_transient(c)
         assert chain.expected_rounds(ts, "1").value == pytest.approx(1.0, abs=1e-12)
@@ -262,7 +252,7 @@ class TestDistanceTreeChain:
         share = 0.4
         c = schedules.distance_tree_chain(3, 6, schedules.SoberSplit(share), sched)
         for d in range(1, 6):
-            s = schedules.SoberSplit(share).spinner(sched.at(d))
+            s = schedules.SoberSplit(share).spinner(sched.at(d, 6))
             assert c.P[d, d + 1] == pytest.approx(s.r + s.t * 2 / 3, abs=1e-15)
             assert c.P[d, d - 1] == pytest.approx(s.c + s.t / 3, abs=1e-15)
 
@@ -270,7 +260,7 @@ class TestDistanceTreeChain:
         for _ in range(5):
             t0 = float(rng.uniform(0.0, 0.9))
             share = float(rng.uniform(0, 1))
-            const = schedules.DistanceSchedule(lambda d: t0, "const")
+            const = schedules.DistanceSchedule(lambda d, top: t0, "const")
             for degree, call_off in ((4, 8), (3, 5), (2, 2)):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
@@ -284,7 +274,7 @@ class TestDistanceTreeChain:
 
     def test_validates_across_shares(self):
         for sched in (
-            schedules.DistanceSchedule.linear(10),
+            schedules.DistanceSchedule.linear(),
             schedules.DistanceSchedule.exponential(),
             schedules.DistanceSchedule.exponential(base=2.0),
         ):
@@ -300,7 +290,7 @@ class TestDistanceTreeChain:
      "call-off distance must be >= 2, got 1"),
 ])
 def test_distance_chain_bad_argument_refused_before_warning(build, message):
-    nonstandard = schedules.DistanceSchedule(lambda d: 0.5, "half")
+    nonstandard = schedules.DistanceSchedule(lambda d, top: 0.5, "half")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(InvalidParameter, match=f"^{message}$"):
