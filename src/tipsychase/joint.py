@@ -118,11 +118,12 @@ def _tie_key_matrix(g: Graph, rules: StrategyRules):
 def check_move_tables(vertex_count: int, max_degree: int) -> None:
     """Raise InvalidParameter when V^2 x max degree exceeds PAIR_TABLE_CAP.
 
-    The tables hold (2V^2 + V) x (max degree + 1) int32 entries, targets
-    and counts: the 1,534-vertex ball tree of degree 3 passes at 7.06 M
-    and allocates 18.8 M entries, about 75 MB.  Arithmetic on the arena's
-    size alone, so a caller can refuse an arena before it builds the graph
-    or its distance table.
+    The cap sets the tables' widths: it keeps V at most 2,828 and a count
+    at most min(V - 1, cap // V^2) <= 199, so targets are int16 and counts
+    uint8, (2V^2 + V) x (2 x max degree + 1) bytes.  The 1,534-vertex ball
+    tree of degree 3 passes at 7.06 M and allocates about 33 MB.  Arithmetic
+    on the arena's size alone, so a caller can refuse an arena before it
+    builds the graph or its distance table.
     """
     if vertex_count * vertex_count * max_degree > PAIR_TABLE_CAP:
         raise InvalidParameter(
@@ -139,7 +140,7 @@ def _move_rows(outcome, cop, robber, V: int):
     Works on integers and on broadcast index arrays alike.
     """
     sober = (outcome * V + cop) * V + robber
-    tipsy = 2 * V * V + np.where(outcome % 2 == 0, cop, robber)
+    tipsy = 2 * V * V + np.where(outcome & 1, robber, cop)
     return np.where(outcome < 2, sober, tipsy)
 
 
@@ -157,8 +158,8 @@ def _move_tables(g: Graph, rules: StrategyRules):
     check_move_tables(V, maxdeg)
     dist = g.distance
     key = _tie_key_matrix(g, rules)
-    targets = np.zeros((2 * V * V + V, maxdeg), dtype=np.int32)
-    counts = np.zeros(2 * V * V + V, dtype=np.int32)
+    targets = np.zeros((2 * V * V + V, maxdeg), dtype=np.int16)
+    counts = np.zeros(2 * V * V + V, dtype=np.uint8)
 
     for v in range(V):
         ns = np.array(g.neighbors[v], dtype=np.int64)

@@ -182,8 +182,8 @@ def _split(cell):
 
 
 def _boundary_early(sched):
-    """``sched`` as the dist10.3* reference run played it (their notes' boundary='tables'):
-    the largest distance reuses the tipsiness of the one below."""
+    """``sched`` as the dist10.3* reference run played it, the clamped schedule of their
+    notes: the largest distance reuses the tipsiness of the one below."""
     return schedules.DistanceSchedule(lambda d, top: sched.at(min(d, top - 1), top), sched.name)
 
 
@@ -304,9 +304,10 @@ TABLES: dict[str, TableSpec] = {
         _tol_last_digit,
         notes=(
             "Reference run evaluated the boundary row's tipsiness at distance "
-            "max-1; reproduced here with boundary='tables'.  The displayed "
-            "transition matrix (boundary='matrix') gives e.g. E(1) = 9.11 at a "
-            "50% robber share instead of the printed 9.25.",
+            "max-1; reproduced here with the clamped schedule "
+            "(tables._boundary_early).  The library chain, which follows the displayed "
+            "transition matrix, gives e.g. E(1) = 9.11 at a 50% robber share instead "
+            "of the printed 9.25.",
         ),
     ),
     "dist10.3b": TableSpec(
@@ -316,7 +317,8 @@ TABLES: dict[str, TableSpec] = {
         )),
         _tol_last_digit,
         notes=(
-            "Same boundary-row convention as dist10.3a (boundary='tables').",
+            "Same boundary-row convention as dist10.3a: the clamped schedule "
+            "(tables._boundary_early).",
         ),
     ),
     "tree10.4a": TableSpec(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -94,15 +96,28 @@ class TestReproducibility:
         b = montecarlo.run(config(trials=5000, seed=2))
         assert a.mean_rounds != b.mean_rounds
 
-    def test_engine_matches_sequential_reference(self):
-        # re-simulate a few trials with a plain per-trial loop consuming
-        # the documented stream (2 doubles per round) and compare exactly
-        cfg = config(trials=64, max_rounds=500, seed=9)
+    @pytest.mark.parametrize("cfg", [
+        config(trials=64, max_rounds=500, seed=9),
+        # the tie-break path of the sober moves
+        config(graph=graphs.torus_grid(7, 7), rules=joint.torus_rules(7, 7),
+               spinner=families.SpinnerFour(c=0.3, r=0.4, t_c=0.15, t_r=0.15),
+               robber_start=24, trials=64, max_rounds=300, seed=11),
+        config(graph=graphs.truncated_tree(3, 5), robber_start=1, trials=64,
+               escape_distance=3, seed=13),
+        # c = 0: the first threshold is 0 and every draw is at or above it
+        config(graph=graphs.cycle_graph(9),
+               spinner=families.SpinnerFour(c=0.0, r=0.5, t_c=0.25, t_r=0.25),
+               robber_start=3, trials=64, max_rounds=300, seed=17),
+    ], ids=["cycle6", "torus7-tie-break", "tree-escape", "cycle9-zero-weight"])
+    def test_engine_matches_sequential_reference(self, cfg):
+        # re-simulate every trial with a plain per-trial loop consuming the
+        # documented stream (2 doubles per round) and compare exactly
         rep = montecarlo.run(cfg)
         g, s = cfg.graph, cfg.spinner
         thresholds = [s.c, s.c + s.r, s.c + s.r + s.t_c, 1.0]
         rules = cfg.rules
         rounds = np.zeros(cfg.trials, dtype=int)
+        ends = np.full(cfg.trials, 2)  # 0 capture, 1 escape, 2 censored
         for k in range(cfg.trials):
             gen = np.random.Generator(
                 np.random.Philox(key=cfg.seed & 0xFFFFFFFFFFFFFFFF, counter=k << 64)
@@ -126,15 +141,41 @@ class TestReproducibility:
                     ns = g.neighbors[rob]
                     rob = ns[min(int(u2 * len(ns)), len(ns) - 1)]
                 if cop == rob:
-                    rounds[k] = r
+                    rounds[k], ends[k] = r, 0
+                    break
+                if cfg.escape_distance is not None and g.distance[cop, rob] >= cfg.escape_distance:
+                    rounds[k], ends[k] = r, 1
                     break
             else:
                 rounds[k] = cfg.max_rounds + 1
-        # reconstruct the survival curve and compare bitwise
+        # reconstruct the survival curve and the end shares and compare bitwise
         counts = np.bincount(np.minimum(rounds, cfg.max_rounds + 1),
                              minlength=cfg.max_rounds + 2)
         curve = (cfg.trials - np.cumsum(counts)[1:cfg.max_rounds + 1]) / cfg.trials
         assert np.array_equal(rep.survival_curve, curve)
+        assert rep.capture_fraction == np.mean(ends == 0)
+        assert rep.escape_fraction == np.mean(ends == 1)
+        assert rep.capture_fraction > 0.0
+        assert (rep.escape_fraction > 0.0) == (cfg.escape_distance is not None)
+
+    @pytest.mark.parametrize("spinner", [
+        (0.3, 0.4, 0.15, 0.15),
+        (0.0, 0.5, 0.25, 0.25),  # c = 0
+        (0.5, 0.0, 0.5, 0.0),  # two equal thresholds, the third at 1
+        (0.25, 0.25, 0.5, 0.0),  # t_r = 0: the third threshold is 1
+        (0.1, 0.2, 0.7, 0.0),  # the third threshold is 0.1 + 0.2 + 0.7 in floats
+    ])
+    def test_outcome_count_matches_searchsorted(self, spinner):
+        s = families.SpinnerFour(*spinner)
+        thresholds = (s.c, s.c + s.r, s.c + s.r + s.t_c)
+        on = [t for t in thresholds if t < 1.0]
+        u = np.array([0.0, np.nextafter(1.0, 0.0), *on,
+                      *np.nextafter(on, 0.0), *np.nextafter(on, 1.0)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        expected = np.searchsorted(np.array([*thresholds, 1.0]), u, side="right")
+        got = montecarlo._outcomes(u, thresholds)
+        assert got.tolist() == expected.tolist()
+        assert got.dtype == np.int64  # _move_rows multiplies it by V^2
 
     @pytest.mark.parametrize("cfg", [
         # games span blocks, some trials are censored and the last block is partial
@@ -282,6 +323,8 @@ def test_move_tables_fast_path_matches_generic(rng):
         targets, counts = montecarlo._move_tables(g, rules)
         maxdeg = max(len(ns) for ns in g.neighbors)
         assert targets.shape == (2 * V * V + V, maxdeg)
+        assert (targets.dtype, counts.dtype) == (np.int16, np.uint8)
+        assert counts.min() >= 1  # the simulator's n - 1 must not wrap
         tipsy = targets[2 * V * V :]
         assert counts[2 * V * V :].tolist() == [len(ns) for ns in g.neighbors]
         assert all(tipsy[v, : len(ns)].tolist() == list(ns) for v, ns in enumerate(g.neighbors))
@@ -290,3 +333,19 @@ def test_move_tables_fast_path_matches_generic(rng):
         for rows, tab, cnt in ((off_diag, cop_tab, cop_cnt), (V * V + off_diag, rob_tab, rob_cnt)):
             assert np.array_equal(targets[rows], tab[off_diag])
             assert np.array_equal(counts[rows], cnt[off_diag])
+
+
+def test_pair_table_cap_fits_the_table_widths():
+    # check_move_tables admits V^2 x max degree <= PAIR_TABLE_CAP, and a simple graph's
+    # max degree is at most V - 1, so every target is at most V - 1 and every count at
+    # most min(V - 1, PAIR_TABLE_CAP // V^2): a rise of the cap past what the table's
+    # dtypes hold must fail here rather than wrap
+    targets, counts = joint._move_tables(graphs.cycle_graph(3), joint.standard_rules())
+    top_target, top_count = np.iinfo(targets.dtype).max, np.iinfo(counts.dtype).max
+    largest = math.isqrt(joint.PAIR_TABLE_CAP)
+    for V in range(1, largest + 1):
+        assert V - 1 <= top_target
+        assert min(V - 1, joint.PAIR_TABLE_CAP // (V * V)) <= top_count
+        joint.check_move_tables(V, max(1, joint.PAIR_TABLE_CAP // (V * V)))
+    with pytest.raises(InvalidParameter):
+        joint.check_move_tables(largest + 1, 1)
