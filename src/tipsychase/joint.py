@@ -22,20 +22,27 @@ the tie-break key (cop keeps the minimum key, robber the maximum).
 
 Assembly
 --------
-The joint chain and the simulator share one move table, ``_move_tables``:
-a padded ``targets`` array and its ``counts``, with one row per move a
+The joint chain and the simulator share one move rule, ``_mover``: for
+any rows of (kind, mover, other), with kind the sober cop, the sober
+robber or a tipsy move, it gives the mover's neighbours and the ones the
+move keeps; each move is uniform over the kept ones.  It is the
+package's only statement of the rules.  The joint chain reads the rule
+directly at every live pair and assembles P in COO form, one block per
+spinner outcome with a positive weight, plus identity rows for
+captures.  ``sparse_joint_chain`` keeps it as a CSR array (a joint
+chain is about 0.1% non-zero: 51,921 entries of the 9x9 torus's
+6,561^2), and ``build_joint_chain`` is its dense view.
+
+The simulator reads the rule through a move table, ``_move_tables``: a
+padded ``targets`` array and its ``counts``, with one row per move a
 spinner outcome can call for, laid out in threshold order.  Rows
 0..V^2-1 hold the sober cop's targets at each ordered pair, rows
-V^2..2V^2-1 the sober robber's (hop rules only), and the V rows after
-them every vertex's neighbours for tipsy moves.  ``_move_rows(outcome,
-cop, robber, V)`` gives the row an outcome reads, and the outcome's
-parity the player who moves; each move is uniform over its row's
-targets.  The table is the package's only statement of the rules.  P
-is assembled from it in COO form, one block per spinner outcome with a
-positive weight, plus identity rows for captures.  ``sparse_joint_chain``
-keeps it as a CSR array (a joint chain is about 0.1% non-zero: 51,921
-entries of the 9x9 torus's 6,561^2), and ``build_joint_chain`` is its
-dense view.
+V^2..2V^2-1 the sober robber's, and the V rows after them every
+vertex's neighbours for tipsy moves.  ``_move_rows(outcome, cop,
+robber, V)`` gives the row an outcome reads, and the outcome's parity
+the player who moves.  The table is allocated whole, at (2V^2 + V) x
+(2 x max degree + 1) bytes, and filled only at the rows that trials
+read.
 
 A partition of the pairs is an integer array over them: entry
 ``pair_index(g, cop, robber)`` indexes that pair's class in the
@@ -59,7 +66,7 @@ TieBreak = Callable[[Graph, int, int], float]
 
 LUMP_TOL = 1e-9
 PAIR_TABLE_CAP = 8_000_000  # bound on V^2 x max degree (see check_move_tables)
-STATE_CAP = 10**6  # joint states; checked before any move table is built
+STATE_CAP = 10**6  # joint states; checked before the move rule is set up
 
 
 @dataclass(frozen=True)
@@ -69,9 +76,9 @@ class StrategyRules:
     ``tie_break(g, mover, other)`` ranks a mover's hop-optimal candidates
     against the other player's vertex.  It must accept broadcast integer
     index arrays as well as single vertices and return keys of their
-    broadcast shape: the move tables call it once, with a column of
-    movers against a row of others.  Tipsy moves are always a uniformly
-    random neighbour.
+    broadcast shape: the move rule calls it with candidates of shape
+    (max degree, rows) against others of shape (rows,).  Tipsy moves are
+    always a uniformly random neighbour.
     """
 
     tie_break: TieBreak | None = None
@@ -105,25 +112,18 @@ def pair_index(g: Graph, cop: int, robber: int) -> int:
 # ------------------------------------------------------------ move tables
 
 
-def _tie_key_matrix(g: Graph, rules: StrategyRules):
-    """key[v, w] = tie_break(g, v, w), from one call on broadcast index arrays."""
-    if rules.tie_break is None:
-        return None
-    V = g.vertex_count
-    v = np.arange(V)
-    key = rules.tie_break(g, v[:, None], v[None, :])
-    return np.broadcast_to(np.asarray(key, dtype=float), (V, V))
-
-
 def check_move_tables(vertex_count: int, max_degree: int) -> None:
     """Raise InvalidParameter when V^2 x max degree exceeds PAIR_TABLE_CAP.
 
-    The cap sets the tables' widths: it keeps V at most 2,828 and a count
-    at most min(V - 1, cap // V^2) <= 199, so targets are int16 and counts
-    uint8, (2V^2 + V) x (2 x max degree + 1) bytes.  The 1,534-vertex ball
-    tree of degree 3 passes at 7.06 M and allocates about 33 MB.  Arithmetic
-    on the arena's size alone, so a caller can refuse an arena before it
-    builds the graph or its distance table.
+    The cap sets the simulator's table widths: it keeps V at most 2,828
+    and a count at most min(V - 1, cap // V^2) <= 199, so targets are
+    int16 and counts uint8, allocated at (2V^2 + V) x (2 x max degree + 1)
+    bytes and filled only at the rows that trials read.  The 1,534-vertex
+    ball tree of degree 3 passes at 7.06 M and allocates about 33 MB.
+    ``_mover`` checks it first, so the joint chain, which reads the rule
+    directly, is refused at the same sizes.  Arithmetic on the arena's
+    size alone, so a caller can refuse an arena before it builds the
+    graph or its distance table.
     """
     if vertex_count * vertex_count * max_degree > PAIR_TABLE_CAP:
         raise InvalidParameter(
@@ -144,50 +144,77 @@ def _move_rows(outcome, cop, robber, V: int):
     return np.where(outcome < 2, sober, tipsy)
 
 
-def _move_tables(g: Graph, rules: StrategyRules):
-    """(targets, counts): the padded move targets of every ``_move_rows`` row.
+def _mover(g: Graph, rules: StrategyRules):
+    """moves(kind, mover, other) -> (ns, kept): the move rule on any rows at once.
 
-    Row r lists its ``counts[r]`` targets in ascending order, each taken
-    with probability 1 / counts[r], and zeros after them.  A mover keeps
-    the neighbours that are best by hop distance to the other player,
-    then by the tie-break key: least for the cop, greatest for the
-    robber (compared as least after negation, which is exact).
+    Kinds are 0 for the sober cop, 1 for the sober robber and 2 for a
+    tipsy move; ``kind`` is a scalar or an array like ``mover`` and
+    ``other``.  Row i of ``ns`` holds the mover's neighbours in ascending
+    order, padded to the largest degree, and ``kept`` marks the targets
+    the move is uniform over.  A sober mover keeps the neighbours best by
+    hop distance to the other player, then by the tie-break key: least
+    for the cop, greatest for the robber (compared as least after
+    negation, which is exact).  A sober robber whom every neighbour would
+    strictly close on keeps only ``ns[i, 0] = mover``.  This is the
+    package's only statement of the rules.
     """
     V = g.vertex_count
-    maxdeg = max(map(len, g.neighbors))
-    check_move_tables(V, maxdeg)
+    deg = np.fromiter(map(len, g.neighbors), dtype=np.int64, count=V)
+    check_move_tables(V, int(deg.max()))
+    # neighbour-major, (max degree, V): a reduction over each row's neighbours
+    # is then elementwise across rows, not one short reduction per row
+    valid = np.arange(deg.max())[:, None] < deg
+    nbr = np.zeros(valid.shape, dtype=np.int64)
+    nbr.T[valid.T] = [w for ns in g.neighbors for w in ns]
     dist = g.distance
-    key = _tie_key_matrix(g, rules)
-    targets = np.zeros((2 * V * V + V, maxdeg), dtype=np.int16)
+
+    def moves(kind, mover, other):
+        ns, real = nbr.take(mover, axis=1), valid.take(mover, axis=1)
+        D = dist[ns, other]  # hop distance from each neighbour to the other player
+        sign = np.where(kind == 1, -1, 1)
+        signed = np.where(real, sign * D, V)  # a pad loses to every neighbour
+        kept = signed == signed.min(axis=0)
+        if rules.tie_break is not None:
+            K = sign * np.asarray(rules.tie_break(g, ns, other), dtype=float)
+            kept &= K == np.where(kept, K, np.inf).min(axis=0)
+        kept = real & (kept | (kind == 2))
+        # the robber stays put when every neighbour would strictly close the gap
+        stay = (kind == 1) & (~real | (D < dist[mover, other])).all(axis=0)
+        ns[0, stay] = mover[stay]
+        kept[:, stay] = np.arange(len(ns))[:, None] == 0
+        return ns.T, kept.T
+
+    return moves
+
+
+def _move_tables(g: Graph, rules: StrategyRules):
+    """(targets, counts, fill): the simulator's move table, filled as it is read.
+
+    ``targets`` and ``counts`` are allocated zeroed, one row per
+    ``_move_rows`` row: (2V^2 + V) x (2 x max degree + 1) bytes.
+    ``fill(outcome, cop, robber)`` writes the rows those read, from
+    ``_mover``: row r lists its ``counts[r]`` kept targets in ascending
+    order, each taken with probability 1 / counts[r], and zeros after
+    them.  A filled row counts at least 1, so a count of 0 marks a row
+    that no trial has read yet.
+    """
+    V = g.vertex_count
+    moves = _mover(g, rules)
+    targets = np.zeros((2 * V * V + V, max(map(len, g.neighbors))), dtype=np.int16)
     counts = np.zeros(2 * V * V + V, dtype=np.uint8)
 
-    for v in range(V):
-        ns = np.array(g.neighbors[v], dtype=np.int64)
-        targets[2 * V * V + v, : len(ns)] = ns
-        counts[2 * V * V + v] = len(ns)
-        D = dist[ns]  # (deg, V): distance from each neighbour to every opponent
-        # v as the cop against every robber (contiguous rows), then as the
-        # robber against every cop (every V-th row)
-        robber_rows = slice(V * V + v, 2 * V * V, V)
-        for rows, sign in ((slice(v * V, (v + 1) * V), 1), (robber_rows, -1)):
-            signed = sign * D
-            mask = signed == signed.min(axis=0)
-            if key is not None:
-                K = sign * key[ns]
-                mask &= K == np.where(mask, K, np.inf).min(axis=0)
-            # ns is ascending, so sorting puts the kept targets first and the
-            # V pads last (merge sort is the fastest numpy sort on rows this short)
-            packed = np.sort(np.where(mask.T, ns, V), axis=1, kind="stable")
-            targets[rows, : len(ns)] = np.where(packed == V, 0, packed)
-            counts[rows] = mask.sum(axis=0)
-        # the robber stays put when every neighbour would strictly close the gap
-        stay = (D < dist[v]).all(axis=0)
-        robber = targets[robber_rows]  # a view: writes land in targets
-        robber[stay] = 0
-        robber[stay, 0] = v
-        counts[robber_rows][stay] = 1
+    def fill(outcome, cop, robber):
+        rows, first = np.unique(_move_rows(outcome, cop, robber, V), return_index=True)
+        outcome, cop, robber = outcome[first], cop[first], robber[first]
+        rob_turn = (outcome & 1).astype(bool)
+        ns, kept = moves(np.minimum(outcome, 2), np.where(rob_turn, robber, cop),
+                         np.where(rob_turn, cop, robber))
+        # V exceeds every vertex: sorting puts the kept targets first, ascending
+        packed = np.sort(np.where(kept, ns, V), axis=1)
+        targets[rows] = np.where(packed == V, 0, packed)
+        counts[rows] = kept.sum(axis=1)
 
-    return targets, counts
+    return targets, counts, fill
 
 
 # ------------------------------------------------------------ joint chain
@@ -212,7 +239,7 @@ def _assemble(g: Graph, s: SpinnerFour, rules: StrategyRules):
     share a target, so the sum is the same in any order.
     """
     V = g.vertex_count
-    targets, counts = _move_tables(g, rules)
+    moves = _mover(g, rules)
     pairs = np.arange(V * V)
     cop, robber = np.divmod(pairs, V)
     live = cop != robber
@@ -222,9 +249,9 @@ def _assemble(g: Graph, s: SpinnerFour, rules: StrategyRules):
     for outcome, weight in enumerate((s.c, s.r, s.t_c, s.t_r)):
         if weight == 0.0:
             continue  # no entries: the structural divergence test reads the support of P
-        row = _move_rows(outcome, cop, robber, V)
-        cnt = counts[row]
-        target = targets[row][np.arange(targets.shape[1]) < cnt[:, None]].astype(np.int64)
+        mover, other = (robber, cop) if outcome & 1 else (cop, robber)
+        ns, kept = moves(min(outcome, 2), mover, other)
+        target, cnt = ns[kept], kept.sum(axis=1)
         rows.append(np.repeat(pairs, cnt))
         if outcome % 2 == 0:
             cols.append(target * V + np.repeat(robber, cnt))

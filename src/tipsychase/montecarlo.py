@@ -18,10 +18,12 @@ are refilled in blocks of 64 rounds: once per block, each live trial
 repositions one shared Philox instance by writing its counter into a
 state template of Python ints, then draws only the doubles the block
 can play.  A round's outcome is the count of thresholds at or below its
-first double, and flat takes from the joint chain's move table, of
+first double, and flat takes from ``joint._move_tables`` give the
+outcome's row, its target count n, the pick ``min(int(u * n), n - 1)``
+and the target: the mover's new vertex.  The table is allocated at
 (2V^2 + V) x (2 x max degree + 1) bytes (33 MB on the 1,534-vertex tree
-arena), give the outcome's row, its target count n, the pick
-``min(int(u * n), n - 1)`` and the target: the mover's new vertex.
+arena) and filled only at the rows that trials read: a round that reads
+a count of 0 first fills the rows its trials miss from the move rule.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def _outcomes(u, thresholds):
 
 def _run_batch(cfg: SimConfig, tables, lo: int, hi: int, rounds_out, outcome_out):
     """Simulate trials lo..hi-1 in lock-step; write per-trial results."""
-    targets, counts = tables
+    targets, counts, fill = tables
     V = cfg.graph.vertex_count
     dist = cfg.graph.distance
     s = cfg.spinner
@@ -157,6 +159,10 @@ def _run_batch(cfg: SimConfig, tables, lo: int, hi: int, rounds_out, outcome_out
             ca, ra = cop[alive], rob[alive]
             row = _move_rows(outcome, ca, ra, V)
             n = counts.take(row)
+            if np.count_nonzero(n) < n.size:  # unread rows: fill them, then read again
+                miss = n == 0
+                fill(outcome[miss], ca[miss], ra[miss])
+                n = counts.take(row)
             pick = np.minimum((draws[alive, 2 * j + 1] * n).astype(np.int64), n - 1)
             target = targets.take(row * targets.shape[1] + pick)  # flat: no axis
             rob_turn = outcome & 1

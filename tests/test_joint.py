@@ -79,10 +79,10 @@ class TestBuildJointChain:
         message = "^1002001 joint states exceed the cap of 1000000$"
         s = families.SpinnerFour(0.25, 0.25, 0.25, 0.25)
 
-        def no_tables(*args):
-            raise AssertionError("move tables built before the state cap")
+        def no_rule(*args):
+            raise AssertionError("move rule set up before the state cap")
 
-        monkeypatch.setattr(joint, "_move_tables", no_tables)
+        monkeypatch.setattr(joint, "_mover", no_rule)
         for build in (joint.build_joint_chain, joint.sparse_joint_chain):
             with pytest.raises(GraphTooLarge, match=message):
                 build(g, s, joint.standard_rules())

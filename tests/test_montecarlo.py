@@ -309,6 +309,19 @@ def _reference_tables(g, rules, maxdeg):
     return cop_tab, cop_cnt, rob_tab, rob_cnt
 
 
+def _read_all(g, rules, chunk=None):
+    """``_move_tables``' targets and counts with every row filled, ``chunk`` cops a call."""
+    V = g.vertex_count
+    targets, counts, fill = joint._move_tables(g, rules)
+    chunk = chunk or V
+    for lo in range(0, V, chunk):
+        cop, robber = np.divmod(np.arange(lo * V, min(lo + chunk, V) * V), V)
+        for outcome in (0, 1):
+            fill(np.full(cop.size, outcome), cop, robber)
+    fill(np.full(V, 2), np.arange(V), np.arange(V))  # the tipsy rows, one per vertex
+    return targets, counts
+
+
 def test_move_tables_fast_path_matches_generic(rng):
     for g, rules in [
         (graphs.torus_grid(7, 7), joint.torus_rules(7, 7)),
@@ -320,7 +333,7 @@ def test_move_tables_fast_path_matches_generic(rng):
         (graphs.truncated_tree(3, 5), joint.standard_rules()),
     ]:
         V = g.vertex_count
-        targets, counts = montecarlo._move_tables(g, rules)
+        targets, counts = _read_all(g, rules)
         maxdeg = max(len(ns) for ns in g.neighbors)
         assert targets.shape == (2 * V * V + V, maxdeg)
         assert (targets.dtype, counts.dtype) == (np.int16, np.uint8)
@@ -340,7 +353,7 @@ def test_pair_table_cap_fits_the_table_widths():
     # max degree is at most V - 1, so every target is at most V - 1 and every count at
     # most min(V - 1, PAIR_TABLE_CAP // V^2): a rise of the cap past what the table's
     # dtypes hold must fail here rather than wrap
-    targets, counts = joint._move_tables(graphs.cycle_graph(3), joint.standard_rules())
+    targets, counts = _read_all(graphs.cycle_graph(3), joint.standard_rules())
     top_target, top_count = np.iinfo(targets.dtype).max, np.iinfo(counts.dtype).max
     largest = math.isqrt(joint.PAIR_TABLE_CAP)
     for V in range(1, largest + 1):
@@ -349,3 +362,67 @@ def test_pair_table_cap_fits_the_table_widths():
         joint.check_move_tables(V, max(1, joint.PAIR_TABLE_CAP // (V * V)))
     with pytest.raises(InvalidParameter):
         joint.check_move_tables(largest + 1, 1)
+
+
+def test_move_table_fills_only_the_rows_trials_read(monkeypatch):
+    # the 1,534-vertex ball arena of the tree benchmark has 4.7 M rows; 2,000 trials
+    # escaping at distance 5 read a few thousand of them
+    g = graphs.truncated_tree(3, 9)
+    rules = joint.standard_rules()
+    built = []
+
+    def spy(*args):
+        built.append(joint._move_tables(*args))
+        return built[-1]
+
+    monkeypatch.setattr(montecarlo, "_move_tables", spy)
+    montecarlo.run(config(graph=g, cop_start=0, robber_start=1, trials=2000,
+                          max_rounds=200, seed=4, escape_distance=5,
+                          spinner=families.SpinnerFour(0.3, 0.4, 0.15, 0.15)))
+    (targets, counts, _), = built
+    filled = np.flatnonzero(counts)
+    assert 0 < filled.size < 0.01 * counts.size
+    full_targets, full_counts = _read_all(g, rules, chunk=128)
+    assert np.array_equal(counts[filled], full_counts[filled])
+    assert np.array_equal(targets[filled], full_targets[filled])
+    assert not targets[counts == 0].any()
+
+
+def test_move_rule_matches_pairwise_reference():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def cases(draw):
+        # a random spanning tree plus extra edges, and an integer tie-break key or none
+        n = draw(st.integers(2, 9))
+        tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        vertex = st.integers(0, n - 1)
+        extra = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+        edges = {frozenset(e) for e in tree + extra if e[0] != e[1]}
+        g = graphs.build_graph(n, [tuple(e) for e in edges])
+        keys = draw(st.none() | st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+        if keys is None:
+            return g, joint.standard_rules()
+        key = np.reshape(keys, (n, n))
+        return g, joint.standard_rules(tie_break=lambda g, v, w: key[v, w])
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(case=cases())
+    def check(case):
+        g, rules = case
+        V = g.vertex_count
+        moves = joint._mover(g, rules)
+        cop, robber = np.divmod(np.arange(V * V), V)
+        pairs = [(c, r) for c, r in zip(cop.tolist(), robber.tolist()) if c != r]
+        cop_ns, cop_kept = moves(0, cop, robber)
+        rob_ns, rob_kept = moves(1, robber, cop)
+        for c, r in pairs:
+            pair = c * V + r
+            assert cop_ns[pair][cop_kept[pair]].tolist() == sorted(cop_move(rules, g, c, r))
+            assert rob_ns[pair][rob_kept[pair]].tolist() == sorted(robber_move(rules, g, c, r))
+        tipsy_ns, tipsy_kept = moves(np.full(V, 2), np.arange(V), np.arange(V)[::-1])
+        tipsy = [ns[k].tolist() for ns, k in zip(tipsy_ns, tipsy_kept)]
+        assert tipsy == list(map(list, g.neighbors))
+
+    check()
