@@ -27,22 +27,12 @@ any rows of (kind, mover, other), with kind the sober cop, the sober
 robber or a tipsy move, it gives the mover's neighbours and the ones the
 move keeps; each move is uniform over the kept ones.  It is the
 package's only statement of the rules.  The joint chain reads the rule
-directly at every live pair and assembles P in COO form, one block per
-spinner outcome with a positive weight, plus identity rows for
-captures.  ``sparse_joint_chain`` keeps it as a CSR array (a joint
-chain is about 0.1% non-zero: 51,921 entries of the 9x9 torus's
-6,561^2), and ``build_joint_chain`` is its dense view.
-
-The simulator reads the rule through a move table, ``_move_tables``: a
-padded ``targets`` array and its ``counts``, with one row per move a
-spinner outcome can call for, laid out in threshold order.  Rows
-0..V^2-1 hold the sober cop's targets at each ordered pair, rows
-V^2..2V^2-1 the sober robber's, and the V rows after them every
-vertex's neighbours for tipsy moves.  ``_move_rows(outcome, cop,
-robber, V)`` gives the row an outcome reads, and the outcome's parity
-the player who moves.  The table is allocated whole, at (2V^2 + V) x
-(2 x max degree + 1) bytes, and filled only at the rows that trials
-read.
+at every live pair and assembles P in COO form, one block per spinner
+outcome with a positive weight, plus identity rows for captures.
+``sparse_joint_chain`` keeps it as a CSR array (a joint chain is about
+0.1% non-zero: 51,921 entries of the 9x9 torus's 6,561^2), and
+``build_joint_chain`` is its dense view.  The simulator reads the rule
+only at the pairs its trials reach (``montecarlo._Table``).
 
 A partition of the pairs is an integer array over them: entry
 ``pair_index(g, cop, robber)`` indexes that pair's class in the
@@ -65,7 +55,7 @@ from .graphs import Graph
 TieBreak = Callable[[Graph, int, int], float]
 
 LUMP_TOL = 1e-9
-PAIR_TABLE_CAP = 8_000_000  # bound on V^2 x max degree (see check_move_tables)
+PAIR_TABLE_CAP = 8_000_000  # bound on V^2 x max degree: the move rule's arena size
 STATE_CAP = 10**6  # joint states; checked before the move rule is set up
 
 
@@ -115,12 +105,22 @@ def pair_index(g: Graph, cop: int, robber: int) -> int:
 def check_move_tables(vertex_count: int, max_degree: int) -> None:
     """Raise InvalidParameter when V^2 x max degree exceeds PAIR_TABLE_CAP.
 
-    The cap sets the simulator's table widths: it keeps V at most 2,828
-    and a count at most min(V - 1, cap // V^2) <= 199, so targets are
-    int16 and counts uint8, allocated at (2V^2 + V) x (2 x max degree + 1)
-    bytes and filled only at the rows that trials read.  The 1,534-vertex
-    ball tree of degree 3 passes at 7.06 M and allocates about 33 MB.
-    ``_mover`` checks it first, so the joint chain, which reads the rule
+    The cap keeps V at most 2,828, so a pair key cop x V + robber fits
+    int32, and a target count at most min(V - 1, cap // V^2) <= 199,
+    within uint8.  The simulator's move table (``montecarlo._Table``)
+    takes 16 x max degree + 17 bytes for each pair its trials reach: four
+    rows of int32 slots and their uint8 counts, a uint8 end mark, and
+    three int32 keys and slots.  A run reaches at most V^2 pairs, and
+    while the table grows its arrays at the old capacity are held as
+    well, at most as many bytes again.  So the a-priori bound is
+    2 x (16 x max degree + 17) x V^2 bytes: 528 MB at V = 2,828 and max
+    degree 1, under ``chain.DENSE_BYTE_CAP``, and 306 MB on the
+    1,534-vertex ball tree of degree 3 (7.06 M of the cap).  That is more
+    than the (2V^2 + V) x (2 x max degree + 1) bytes of the whole-arena
+    table the simulator used before (33 MB on that tree), but a run
+    allocates only what its trials reach: 6,948 pairs in about 0.52 MB
+    for 100,000 trials on that tree escaping at distance 5.  ``_mover``
+    checks the cap first, so the joint chain, which reads the rule
     directly, is refused at the same sizes.  Arithmetic on the arena's
     size alone, so a caller can refuse an arena before it builds the
     graph or its distance table.
@@ -130,18 +130,6 @@ def check_move_tables(vertex_count: int, max_degree: int) -> None:
             f"graph too large for the (cop, robber) move tables "
             f"({vertex_count} vertices, max degree {max_degree})"
         )
-
-
-def _move_rows(outcome, cop, robber, V: int):
-    """The move-table row that spinner ``outcome`` reads at pair (cop, robber).
-
-    Outcomes run in threshold order: sober cop, sober robber, tipsy cop,
-    tipsy robber; an even outcome moves the cop, an odd one the robber.
-    Works on integers and on broadcast index arrays alike.
-    """
-    sober = (outcome * V + cop) * V + robber
-    tipsy = 2 * V * V + np.where(outcome & 1, robber, cop)
-    return np.where(outcome < 2, sober, tipsy)
 
 
 def _mover(g: Graph, rules: StrategyRules):
@@ -185,36 +173,6 @@ def _mover(g: Graph, rules: StrategyRules):
         return ns.T, kept.T
 
     return moves
-
-
-def _move_tables(g: Graph, rules: StrategyRules):
-    """(targets, counts, fill): the simulator's move table, filled as it is read.
-
-    ``targets`` and ``counts`` are allocated zeroed, one row per
-    ``_move_rows`` row: (2V^2 + V) x (2 x max degree + 1) bytes.
-    ``fill(outcome, cop, robber)`` writes the rows those read, from
-    ``_mover``: row r lists its ``counts[r]`` kept targets in ascending
-    order, each taken with probability 1 / counts[r], and zeros after
-    them.  A filled row counts at least 1, so a count of 0 marks a row
-    that no trial has read yet.
-    """
-    V = g.vertex_count
-    moves = _mover(g, rules)
-    targets = np.zeros((2 * V * V + V, max(map(len, g.neighbors))), dtype=np.int16)
-    counts = np.zeros(2 * V * V + V, dtype=np.uint8)
-
-    def fill(outcome, cop, robber):
-        rows, first = np.unique(_move_rows(outcome, cop, robber, V), return_index=True)
-        outcome, cop, robber = outcome[first], cop[first], robber[first]
-        rob_turn = (outcome & 1).astype(bool)
-        ns, kept = moves(np.minimum(outcome, 2), np.where(rob_turn, robber, cop),
-                         np.where(rob_turn, cop, robber))
-        # V exceeds every vertex: sorting puts the kept targets first, ascending
-        packed = np.sort(np.where(kept, ns, V), axis=1)
-        targets[rows] = np.where(packed == V, 0, packed)
-        counts[rows] = kept.sum(axis=1)
-
-    return targets, counts, fill
 
 
 # ------------------------------------------------------------ joint chain

@@ -17,13 +17,18 @@ per-trial streams make that purely an implementation detail.  Draws
 are refilled in blocks of 64 rounds: once per block, each live trial
 repositions one shared Philox instance by writing its counter into a
 state template of Python ints, then draws only the doubles the block
-can play.  A round's outcome is the count of thresholds at or below its
-first double, and flat takes from ``joint._move_tables`` give the
-outcome's row, its target count n, the pick ``min(int(u * n), n - 1)``
-and the target: the mover's new vertex.  The table is allocated at
-(2V^2 + V) x (2 x max degree + 1) bytes (33 MB on the 1,534-vertex tree
-arena) and filled only at the rows that trials read: a round that reads
-a count of 0 first fills the rows its trials miss from the move rule.
+can play.
+
+A trial carries one number, the slot of its (cop, robber) pair in the
+move table ``_move_tables`` makes.  Slots are numbered as trials reach
+pairs, the start pair first, so the table holds only the pairs a run
+reaches (6,948 of the 2.35 M on the 1,534-vertex tree arena, in about
+0.52 MB).  A round's outcome is the count of thresholds at or below its
+first double, and flat takes at row ``4 * slot + outcome`` give the
+row's target count n, the pick ``min(int(u * n), n - 1)`` and the
+target: the slot of the pair the move leads to.  A per-slot byte marks
+the pairs that end the game, capture and escape.  A round that reads a
+count of 0 first fills the rows its trials miss from ``joint._mover``.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .chain import check_dense_size
 from .errors import InvalidParameter, InvalidStart
 from .families import SpinnerFour
 from .graphs import Graph
-from .joint import StrategyRules, _move_rows, _move_tables
+from .joint import StrategyRules, _mover
 
 
 @dataclass(frozen=True)
@@ -134,20 +139,113 @@ def _outcomes(u, thresholds):
     return (u >= t0).astype(np.int64) + (u >= t1) + (u >= t2)
 
 
-def _run_batch(cfg: SimConfig, tables, lo: int, hi: int, rounds_out, outcome_out):
+_START_SLOTS = 1024  # the move table's first capacity in pairs; it doubles when full
+
+
+class _Table:
+    """The simulator's move table over the (cop, robber) pairs its trials reach.
+
+    A pair gets the next slot number when it is first reached.
+    ``keys[slot]`` is its key cop * V + robber, and ``end[slot]`` is 1 at
+    a capture, 2 at or past the escape distance and 0 while the game goes
+    on.  Row 4 * slot + outcome of ``targets`` (outcomes in threshold
+    order: sober cop, sober robber, tipsy cop, tipsy robber; an odd one
+    moves the robber) lists the slots of the pairs the move leads to, in
+    ascending order of the mover's new vertex, each taken with
+    probability 1 / counts[row], and zeros after them.  A filled row
+    counts at least 1, so a count of 0 marks a row no trial has read yet.
+    The arrays are allocated for a capacity of slots that doubles when
+    full, up to V^2; ``sorted_keys`` and ``sorted_slots`` map keys to
+    slots.  ``joint.check_move_tables`` states the memory this can take.
+    """
+
+    def __init__(self, g: Graph, rules: StrategyRules, escape_distance: int | None,
+                 start: int):
+        self.moves = _mover(g, rules)  # checks joint.check_move_tables first
+        self.V, self.dist, self.escape = g.vertex_count, g.distance, escape_distance
+        cap = min(_START_SLOTS, self.V**2)
+        self.targets = np.zeros((4 * cap, max(map(len, g.neighbors))), dtype=np.int32)
+        self.counts = np.zeros(4 * cap, dtype=np.uint8)
+        self.end = np.zeros(cap, dtype=np.uint8)
+        self.keys = np.zeros(cap, dtype=np.int32)
+        self.size = 0
+        self.sorted_keys = self.sorted_slots = np.zeros(0, dtype=np.int32)
+        self._add(np.array([start], dtype=np.int32))
+
+    def slots(self, keys):
+        """The slots of int32 pair keys ``keys``, numbering the pairs not reached before."""
+        at = np.searchsorted(self.sorted_keys, keys)
+        known = self.sorted_keys.take(at, mode="clip") == keys
+        if not known.all():
+            self._add(np.unique(keys[~known]))
+            at = np.searchsorted(self.sorted_keys, keys)
+        return self.sorted_slots.take(at)
+
+    def _add(self, fresh):
+        """Give the ascending new keys ``fresh`` the next slots."""
+        lo, hi = self.size, self.size + fresh.size
+        if hi > len(self.keys):
+            self._grow(hi)
+        self.keys[lo:hi] = fresh
+        cop, robber = np.divmod(fresh, self.V)
+        end = (cop == robber).astype(np.uint8)
+        if self.escape is not None:
+            end[self.dist[cop, robber] >= self.escape] = 2
+        self.end[lo:hi] = end
+        at = np.searchsorted(self.sorted_keys, fresh)
+        self.sorted_keys = np.insert(self.sorted_keys, at, fresh)
+        self.sorted_slots = np.insert(self.sorted_slots, at, np.arange(lo, hi, dtype=np.int32))
+        self.size = hi
+
+    def _grow(self, need: int):
+        cap = len(self.keys)
+        new_cap = min(max(2 * cap, need), self.V**2)
+
+        def grown(a):
+            b = np.zeros((a.shape[0] // cap * new_cap, *a.shape[1:]), dtype=a.dtype)
+            b[: len(a)] = a
+            return b
+
+        self.targets, self.counts, self.end, self.keys = map(
+            grown, (self.targets, self.counts, self.end, self.keys))
+
+    def fill(self, rows):
+        """Fill table rows ``rows`` (repeats allowed) from the move rule."""
+        V = self.V
+        rows = np.unique(rows)
+        slot, outcome = np.divmod(rows, 4)
+        cop, robber = np.divmod(self.keys.take(slot).astype(np.int64), V)
+        rob_turn = (outcome & 1).astype(bool)
+        ns, kept = self.moves(np.minimum(outcome, 2), np.where(rob_turn, robber, cop),
+                              np.where(rob_turn, cop, robber))
+        # V exceeds every vertex: sorting puts the kept targets first, ascending
+        packed = np.sort(np.where(kept, ns, V), axis=1)
+        real = packed < V
+        keys = np.where(rob_turn[:, None], cop[:, None] * V + packed, packed * V + robber[:, None])
+        new = np.zeros(packed.shape, dtype=np.int32)
+        new[real] = self.slots(keys[real].astype(np.int32))
+        self.targets[rows] = new
+        self.counts[rows] = kept.sum(axis=1)
+
+
+def _move_tables(cfg: SimConfig) -> _Table:
+    """The move table of cfg's arena, empty but for the start pair at slot 0."""
+    start = cfg.cop_start * cfg.graph.vertex_count + cfg.robber_start
+    return _Table(cfg.graph, cfg.rules, cfg.escape_distance, start)
+
+
+def _run_batch(cfg: SimConfig, tables: _Table, lo: int, hi: int, rounds_out, outcome_out):
     """Simulate trials lo..hi-1 in lock-step; write per-trial results."""
-    targets, counts, fill = tables
-    V = cfg.graph.vertex_count
-    dist = cfg.graph.distance
     s = cfg.spinner
     thresholds = (s.c, s.c + s.r, s.c + s.r + s.t_c)
+    targets, counts, end = tables.targets, tables.counts, tables.end
+    width = targets.shape[1]
 
     size = hi - lo
     bit_gen, gen, state = _stream(cfg.seed & 0xFFFFFFFFFFFFFFFF)
 
-    cop = np.full(size, cfg.cop_start, dtype=np.int64)
-    rob = np.full(size, cfg.robber_start, dtype=np.int64)
     alive = np.arange(size)
+    slot = np.zeros(size, dtype=np.int32)  # the pair of each trial in alive; start: slot 0
     draws = np.empty((size, 2 * _BLOCK_ROUNDS))
     rounds_done = 0
 
@@ -155,31 +253,21 @@ def _run_batch(cfg: SimConfig, tables, lo: int, hi: int, rounds_out, outcome_out
         block = min(_BLOCK_ROUNDS, cfg.max_rounds - rounds_done)
         _refill(bit_gen, gen, state, draws, alive, lo, rounds_done, block)
         for j in range(block):
-            outcome = _outcomes(draws[alive, 2 * j], thresholds)
-            ca, ra = cop[alive], rob[alive]
-            row = _move_rows(outcome, ca, ra, V)
+            row = slot * 4 + _outcomes(draws[alive, 2 * j], thresholds)
             n = counts.take(row)
             if np.count_nonzero(n) < n.size:  # unread rows: fill them, then read again
-                miss = n == 0
-                fill(outcome[miss], ca[miss], ra[miss])
+                tables.fill(row[n == 0])
+                targets, counts, end = tables.targets, tables.counts, tables.end
                 n = counts.take(row)
             pick = np.minimum((draws[alive, 2 * j + 1] * n).astype(np.int64), n - 1)
-            target = targets.take(row * targets.shape[1] + pick)  # flat: no axis
-            rob_turn = outcome & 1
-            new_cop = np.where(rob_turn, ca, target)
-            new_rob = np.where(rob_turn, target, ra)
-            cop[alive] = new_cop
-            rob[alive] = new_rob
-
-            captured = new_cop == new_rob
-            done = captured
-            if cfg.escape_distance is not None:
-                done = captured | (dist[new_cop, new_rob] >= cfg.escape_distance)
-            if done.any():
+            slot = targets.take(row * width + pick)  # flat: no axis
+            ends = end.take(slot)
+            if ends.any():
+                done = ends != 0
                 ended = alive[done]
                 rounds_out[lo + ended] = rounds_done + j + 1
-                outcome_out[lo + ended] = np.where(captured[done], 0, 1)
-                alive = alive[~done]
+                outcome_out[lo + ended] = ends[done] - 1  # 0 capture, 1 escape
+                alive, slot = alive[~done], slot[~done]
                 if not alive.size:
                     break
         rounds_done += block
@@ -209,7 +297,7 @@ def run(cfg: SimConfig) -> SimReport:
     check_dense_size(cfg.trials, 1, "per-trial rounds")
     check_dense_size(cfg.max_rounds + 2, 1, "survival curve")
 
-    tables = _move_tables(cfg.graph, cfg.rules)
+    tables = _move_tables(cfg)
     rounds = np.zeros(cfg.trials, dtype=np.int64)
     outcome = np.zeros(cfg.trials, dtype=np.int8)
 

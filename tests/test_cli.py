@@ -476,6 +476,24 @@ class TestSimulate:
         assert err.startswith(f"error: GraphTooLarge: dense {what} would take 8 GB")
         assert err.count("\n") == 1
 
+    def test_simulate_makes_its_move_table_through_the_patched_name(self, capsys, monkeypatch):
+        # the refusal test above fails montecarlo._move_tables; that shows something
+        # only while an ordinary run makes its table through that name
+        made = []
+        real = montecarlo._move_tables
+
+        def spy(*args):
+            made.append(real(*args))
+            return made[-1]
+
+        monkeypatch.setattr(montecarlo, "_move_tables", spy)
+        code, out, err = run_cli(
+            ["simulate", "--family", "petersen", *SPIN3, "--start", "1", "--trials", "100"],
+            capsys,
+        )
+        assert (code, err) == (0, "") and out
+        assert len(made) == 1 and made[0].size > 1
+
     def test_unknown_start_class(self, capsys):
         code, out, err = run_cli(
             ["simulate", "--family", "petersen", *SPIN3, "--start", "7", "--trials", "10"],

@@ -53,6 +53,18 @@ def robber_move(rules, g, cop, robber):
     return _choose(rules, g, robber, cop, max)
 
 
+def _spy_tables(monkeypatch):
+    """The list of move tables ``montecarlo.run`` makes from now on."""
+    real, made = montecarlo._move_tables, []
+
+    def spy(cfg):
+        made.append(real(cfg))
+        return made[-1]
+
+    monkeypatch.setattr(montecarlo, "_move_tables", spy)
+    return made
+
+
 class TestDeterministicGames:
     def test_sober_cop_ends_in_exactly_d_rounds(self):
         for d in (1, 2, 3):
@@ -96,23 +108,38 @@ class TestReproducibility:
         b = montecarlo.run(config(trials=5000, seed=2))
         assert a.mean_rounds != b.mean_rounds
 
-    @pytest.mark.parametrize("cfg", [
-        config(trials=64, max_rounds=500, seed=9),
+    @pytest.mark.parametrize("cfg,start_slots", [
+        (config(trials=64, max_rounds=500, seed=9), None),
         # the tie-break path of the sober moves
-        config(graph=graphs.torus_grid(7, 7), rules=joint.torus_rules(7, 7),
-               spinner=families.SpinnerFour(c=0.3, r=0.4, t_c=0.15, t_r=0.15),
-               robber_start=24, trials=64, max_rounds=300, seed=11),
-        config(graph=graphs.truncated_tree(3, 5), robber_start=1, trials=64,
-               escape_distance=3, seed=13),
+        (config(graph=graphs.torus_grid(7, 7), rules=joint.torus_rules(7, 7),
+                spinner=families.SpinnerFour(c=0.3, r=0.4, t_c=0.15, t_r=0.15),
+                robber_start=24, trials=64, max_rounds=300, seed=11), None),
+        (config(graph=graphs.truncated_tree(3, 5), robber_start=1, trials=64,
+                escape_distance=3, seed=13), None),
         # c = 0: the first threshold is 0 and every draw is at or above it
-        config(graph=graphs.cycle_graph(9),
-               spinner=families.SpinnerFour(c=0.0, r=0.5, t_c=0.25, t_r=0.25),
-               robber_start=3, trials=64, max_rounds=300, seed=17),
-    ], ids=["cycle6", "torus7-tie-break", "tree-escape", "cycle9-zero-weight"])
-    def test_engine_matches_sequential_reference(self, cfg):
+        (config(graph=graphs.cycle_graph(9),
+                spinner=families.SpinnerFour(c=0.0, r=0.5, t_c=0.25, t_r=0.25),
+                robber_start=3, trials=64, max_rounds=300, seed=17), None),
+        # a table of 2 slots at first, grown many times while trials hold slots
+        (config(graph=graphs.torus_grid(7, 7), rules=joint.torus_rules(7, 7),
+                spinner=families.SpinnerFour(c=0.3, r=0.4, t_c=0.15, t_r=0.15),
+                robber_start=24, trials=64, max_rounds=300, seed=19), 2),
+        # doubling would pass the 81 pairs there are
+        (config(graph=graphs.cycle_graph(9), robber_start=3, trials=64, max_rounds=300,
+                seed=23), 2),
+    ], ids=["cycle6", "torus7-tie-break", "tree-escape", "cycle9-zero-weight",
+            "torus7-growing-table", "cycle9-growing-table"])
+    def test_engine_matches_sequential_reference(self, cfg, start_slots, monkeypatch):
         # re-simulate every trial with a plain per-trial loop consuming the
         # documented stream (2 doubles per round) and compare exactly
+        if start_slots is not None:
+            monkeypatch.setattr(montecarlo, "_START_SLOTS", start_slots)
+            made = _spy_tables(monkeypatch)
         rep = montecarlo.run(cfg)
+        if start_slots is not None:
+            (table,) = made
+            # it doubled at least 4 times, and never past the V^2 pairs there are
+            assert 16 * start_slots < table.size <= len(table.keys) <= cfg.graph.vertex_count**2
         g, s = cfg.graph, cfg.spinner
         thresholds = [s.c, s.c + s.r, s.c + s.r + s.t_c, 1.0]
         rules = cfg.rules
@@ -175,7 +202,7 @@ class TestReproducibility:
         expected = np.searchsorted(np.array([*thresholds, 1.0]), u, side="right")
         got = montecarlo._outcomes(u, thresholds)
         assert got.tolist() == expected.tolist()
-        assert got.dtype == np.int64  # _move_rows multiplies it by V^2
+        assert got.dtype == np.int64  # the round adds it to 4 x an int32 slot
 
     @pytest.mark.parametrize("cfg", [
         # games span blocks, some trials are censored and the last block is partial
@@ -309,17 +336,32 @@ def _reference_tables(g, rules, maxdeg):
     return cop_tab, cop_cnt, rob_tab, rob_cnt
 
 
-def _read_all(g, rules, chunk=None):
-    """``_move_tables``' targets and counts with every row filled, ``chunk`` cops a call."""
+def _table_arrays(table):
+    return (table.targets, table.counts, table.end, table.keys, table.sorted_keys,
+            table.sorted_slots)
+
+
+def _by_pair(table, slot):
+    """The mover's new vertices at each of ``slot``'s four rows, (4, slots, width) with
+    zeros after each row's count, and the counts, (4, slots), from the slot table."""
+    V = table.V
+    rows = 4 * slot[None, :] + np.arange(4)[:, None]
+    counts = table.counts[rows]
+    new = table.keys[table.targets[rows]]
+    vertex = np.where((np.arange(4) & 1)[:, None, None], new % V, new // V)
+    vertex[np.arange(vertex.shape[2]) >= counts[..., None]] = 0
+    return vertex, counts
+
+
+def _read_all(g, rules, chunk=4096):
+    """A move table with every pair as a slot and every row filled, ``chunk`` pairs a
+    fill, and what ``_by_pair`` reads from it in pair order."""
     V = g.vertex_count
-    targets, counts, fill = joint._move_tables(g, rules)
-    chunk = chunk or V
-    for lo in range(0, V, chunk):
-        cop, robber = np.divmod(np.arange(lo * V, min(lo + chunk, V) * V), V)
-        for outcome in (0, 1):
-            fill(np.full(cop.size, outcome), cop, robber)
-    fill(np.full(V, 2), np.arange(V), np.arange(V))  # the tipsy rows, one per vertex
-    return targets, counts
+    table = montecarlo._move_tables(config(graph=g, rules=rules, cop_start=0, robber_start=1))
+    slot = table.slots(np.arange(V * V, dtype=np.int32))
+    for lo in range(0, V * V, chunk):
+        table.fill((4 * slot[lo : lo + chunk, None] + np.arange(4)).ravel())
+    return table, slot, *_by_pair(table, slot)
 
 
 def test_move_tables_fast_path_matches_generic(rng):
@@ -333,59 +375,104 @@ def test_move_tables_fast_path_matches_generic(rng):
         (graphs.truncated_tree(3, 5), joint.standard_rules()),
     ]:
         V = g.vertex_count
-        targets, counts = _read_all(g, rules)
+        table, slot, vertex, counts = _read_all(g, rules)
         maxdeg = max(len(ns) for ns in g.neighbors)
-        assert targets.shape == (2 * V * V + V, maxdeg)
-        assert (targets.dtype, counts.dtype) == (np.int16, np.uint8)
-        assert counts.min() >= 1  # the simulator's n - 1 must not wrap
-        tipsy = targets[2 * V * V :]
-        assert counts[2 * V * V :].tolist() == [len(ns) for ns in g.neighbors]
-        assert all(tipsy[v, : len(ns)].tolist() == list(ns) for v, ns in enumerate(g.neighbors))
+        # every pair reached: the arrays at capacity V^2, the start pair (0, 1) slot 0
+        assert table.size == len(table.keys) == V * V and slot[1] == 0
+        assert table.targets.shape == (4 * V * V, maxdeg) and table.counts.shape == (4 * V * V,)
+        assert [a.dtype for a in _table_arrays(table)] == [np.int32, np.uint8, np.uint8,
+                                                           np.int32, np.int32, np.int32]
+        assert table.keys[slot].tolist() == list(range(V * V))
+        cop, robber = np.divmod(np.arange(V * V), V)
+        assert table.end[slot].tolist() == (cop == robber).tolist()  # no escape distance
+        assert table.counts.min() >= 1  # the simulator's n - 1 must not wrap
+        # tipsy rows: every neighbour of the mover, cop at outcome 2, robber at 3
+        deg = np.array([len(ns) for ns in g.neighbors])
+        nbr = np.zeros((V, maxdeg), dtype=np.int64)
+        for v, ns in enumerate(g.neighbors):
+            nbr[v, : len(ns)] = ns
+        for outcome, mover in ((2, cop), (3, robber)):
+            assert np.array_equal(counts[outcome], deg[mover])
+            assert np.array_equal(vertex[outcome], nbr[mover])
         cop_tab, cop_cnt, rob_tab, rob_cnt = _reference_tables(g, rules, maxdeg)
-        off_diag = np.array([c * V + r for c in range(V) for r in range(V) if c != r])
-        for rows, tab, cnt in ((off_diag, cop_tab, cop_cnt), (V * V + off_diag, rob_tab, rob_cnt)):
-            assert np.array_equal(targets[rows], tab[off_diag])
-            assert np.array_equal(counts[rows], cnt[off_diag])
+        off_diag = np.flatnonzero(cop != robber)
+        for outcome, tab, cnt in ((0, cop_tab, cop_cnt), (1, rob_tab, rob_cnt)):
+            assert np.array_equal(vertex[outcome][off_diag], tab[off_diag])
+            assert np.array_equal(counts[outcome][off_diag], cnt[off_diag])
+
+
+def _pair_bytes(table, max_degree):
+    """What the table holds per pair: four rows of max degree slots and a count, an end
+    mark, a key, and a sorted key and its slot."""
+    targets, counts, end, keys, sorted_keys, sorted_slots = _table_arrays(table)
+    return (4 * (max_degree * targets.itemsize + counts.itemsize) + end.itemsize
+            + keys.itemsize + sorted_keys.itemsize + sorted_slots.itemsize)
 
 
 def test_pair_table_cap_fits_the_table_widths():
     # check_move_tables admits V^2 x max degree <= PAIR_TABLE_CAP, and a simple graph's
-    # max degree is at most V - 1, so every target is at most V - 1 and every count at
-    # most min(V - 1, PAIR_TABLE_CAP // V^2): a rise of the cap past what the table's
-    # dtypes hold must fail here rather than wrap
-    targets, counts = _read_all(graphs.cycle_graph(3), joint.standard_rules())
-    top_target, top_count = np.iinfo(targets.dtype).max, np.iinfo(counts.dtype).max
+    # max degree is at most V - 1, so every pair key and slot is at most V^2 - 1 and
+    # every count at most min(V - 1, PAIR_TABLE_CAP // V^2): a rise of the cap past
+    # what the table's dtypes hold must fail here rather than wrap
+    table = _read_all(graphs.cycle_graph(3), joint.standard_rules())[0]
+    top_slot = min(np.iinfo(a.dtype).max for a in (table.targets, table.keys,
+                                                   table.sorted_keys, table.sorted_slots))
+    top_count = np.iinfo(table.counts.dtype).max
     largest = math.isqrt(joint.PAIR_TABLE_CAP)
     for V in range(1, largest + 1):
-        assert V - 1 <= top_target
+        assert V * V - 1 <= top_slot
         assert min(V - 1, joint.PAIR_TABLE_CAP // (V * V)) <= top_count
         joint.check_move_tables(V, max(1, joint.PAIR_TABLE_CAP // (V * V)))
     with pytest.raises(InvalidParameter):
         joint.check_move_tables(largest + 1, 1)
 
 
+def test_move_table_bound_at_the_cap_fits_the_dense_cap():
+    # check_move_tables's a-priori bound: _pair_bytes for each of at most V^2 pairs, and
+    # as many bytes again for the old arrays while the table grows
+    table = _read_all(graphs.cycle_graph(3), joint.standard_rules())[0]
+    assert sum(a.nbytes for a in _table_arrays(table)) == _pair_bytes(table, 2) * 9
+    bounds = [2 * _pair_bytes(table, min(V - 1, joint.PAIR_TABLE_CAP // (V * V))) * V * V
+              for V in range(2, math.isqrt(joint.PAIR_TABLE_CAP) + 1)]
+    assert max(bounds) < chain.DENSE_BYTE_CAP
+    assert bounds[1534 - 2] == 2 * 65 * 1534**2  # the tree arena: 306 MB
+
+
 def test_move_table_fills_only_the_rows_trials_read(monkeypatch):
-    # the 1,534-vertex ball arena of the tree benchmark has 4.7 M rows; 2,000 trials
-    # escaping at distance 5 read a few thousand of them
+    # the 1,534-vertex ball arena of the tree benchmark has 2.35 M pairs; 2,000 trials
+    # escaping at distance 5 reach a few thousand of them
     g = graphs.truncated_tree(3, 9)
     rules = joint.standard_rules()
-    built = []
-
-    def spy(*args):
-        built.append(joint._move_tables(*args))
-        return built[-1]
-
-    monkeypatch.setattr(montecarlo, "_move_tables", spy)
+    made = _spy_tables(monkeypatch)
     montecarlo.run(config(graph=g, cop_start=0, robber_start=1, trials=2000,
                           max_rounds=200, seed=4, escape_distance=5,
                           spinner=families.SpinnerFour(0.3, 0.4, 0.15, 0.15)))
-    (targets, counts, _), = built
-    filled = np.flatnonzero(counts)
-    assert 0 < filled.size < 0.01 * counts.size
-    full_targets, full_counts = _read_all(g, rules, chunk=128)
-    assert np.array_equal(counts[filled], full_counts[filled])
-    assert np.array_equal(targets[filled], full_targets[filled])
-    assert not targets[counts == 0].any()
+    (table,) = made
+    V = g.vertex_count
+    assert 0 < table.size < 0.01 * V * V
+    assert sum(a.nbytes for a in _table_arrays(table)) < 1_000_000
+    # slots are numbered as pairs are found, the start pair first; each end mark
+    # follows its pair
+    keys = table.keys[: table.size]
+    assert keys[0] == 1 and np.unique(keys).size == table.size
+    assert np.array_equal(table.sorted_keys, np.sort(keys))
+    assert np.array_equal(keys[table.sorted_slots], table.sorted_keys)
+    cop, robber = np.divmod(keys, V)
+    assert np.array_equal(table.end[: table.size],
+                          np.select([cop == robber, g.distance[cop, robber] >= 5], [1, 2], 0))
+    assert not table.targets[table.counts == 0].any()
+    # each filled row lists the rule's targets at its pair, pair by pair
+    rows = np.flatnonzero(table.counts)
+    assert not table.end[rows // 4].any()  # no trial moves on from a game's end
+    vertex, counts = _by_pair(table, np.arange(table.size))
+    for row in rows.tolist():
+        slot, outcome = divmod(row, 4)
+        c, r = int(cop[slot]), int(robber[slot])
+        if outcome < 2:
+            expected = sorted((cop_move, robber_move)[outcome](rules, g, c, r))
+        else:
+            expected = list(g.neighbors[(c, r)[outcome - 2]])
+        assert vertex[outcome, slot, : counts[outcome, slot]].tolist() == expected
 
 
 def test_move_rule_matches_pairwise_reference():
