@@ -2,15 +2,17 @@
 
 Vertices are dense integers ``0..V-1``.  All-pairs shortest-path hop
 counts are filled at construction, so a distance is a plain array
-lookup.  One numpy breadth-first search advances every source of a block
+lookup.  The table is int16: no graph admitted has a distance above
+11,584.  One numpy breadth-first search advances every source of a block
 of rows at once over the CSR neighbour arrays: the work is O(V*E), as
-for one search per vertex, but each level costs a handful of numpy calls
-instead of a Python step per edge.  Blocks are sized so that the scratch
-arrays stay within ``BFS_BLOCK_ENTRIES`` entries whatever the graph's
-shape.  A graph whose V x V int32 distance table would exceed
-``chain.DENSE_BYTE_CAP`` (more than 11,585 vertices) is refused with
-GraphTooLarge before anything is allocated; the family generators check
-the vertex count their arguments imply before they list a single edge.
+for one search per vertex, but each level costs a few dozen numpy calls
+instead of a Python step per edge.  Blocks are sized so that all the
+search allocates beside its table stays within ``BFS_SCRATCH_BYTES``
+(16 MiB) whatever the graph's shape.  A graph of more than 11,585
+vertices is refused with GraphTooLarge before anything is allocated, by
+the dense cap on a table of 4 bytes a pair (``chain.DENSE_BYTE_CAP``);
+the family generators check the vertex count their arguments imply
+before they list a single edge.
 
 Family generators use a fixed, documented vertex labeling so that state
 names in downstream output stay stable:
@@ -37,7 +39,9 @@ from .errors import DisconnectedGraph, InvalidEdge, InvalidParameter
 
 UNREACHED = -1
 _DECIMAL = re.compile("-?[0-9]+")  # an edge-list token: int() alone also takes "1_2" and "١"
-BFS_BLOCK_ENTRIES = 2**20  # rows x max(V, 2E) per source block: the BFS scratch bound
+BFS_SCRATCH_BYTES = 2**24  # what the BFS allocates beside its table, at most
+_PART = 2**15  # candidates per part: stamps 0 .. 32767 fit int16
+_PART_BYTES = 128 * _PART  # a part's temporaries, at most
 
 
 @dataclass(frozen=True)
@@ -64,48 +68,96 @@ class Graph:
         return int(self.distance.max())
 
 
+def _candidates(frontier: list, V: int, indptr: np.ndarray, col: np.ndarray, deg: np.ndarray):
+    """Yield the flat indices that a level's frontier pieces reach, in parts.
+
+    Each part is the longest run of a piece's entries whose neighbours
+    number at most ``_PART``.  A vertex has at most V - 1 <= 11,584
+    neighbours, fewer than ``_PART``, so every part takes an entry.
+    """
+    last = indptr[1:]
+    for part in frontier:
+        part = part.astype(np.intp)
+        row = part // V * V
+        v = part - row
+        d = deg.take(v)
+        ends = np.cumsum(d)
+        off = last.take(v) - ends
+        b = 0
+        while b < part.size:
+            start = ends[b - 1] if b else 0
+            e = np.searchsorted(ends, start + _PART, side="right")
+            pos = np.repeat(off[b:e], d[b:e])
+            pos += np.arange(start, ends[e - 1])
+            idx = np.repeat(row[b:e], d[b:e])
+            idx += col.take(pos)
+            yield idx
+            b = e
+
+
 def _distances(vertex_count: int, indptr: np.ndarray, col: np.ndarray) -> np.ndarray:
     """All-pairs hop counts by a BFS from every source of a row block at once.
 
-    A block's frontier holds flat indices ``(s - lo) * V + v`` into its
-    rows of the table.  Each level gathers every frontier vertex's
-    neighbours from ``col``, drops the entries already set, and keeps one
-    entry of each duplicate by stamping: after ``stamp[idx] = arange(k)``
-    exactly one position of each repeated index reads back its own
-    position, whichever write numpy kept.  Raises DisconnectedGraph after
-    the first block, whose row 0 is the search from vertex 0.
+    A block's frontier is a list of int32 arrays of flat indices
+    ``(s - lo) * V + v`` into its rows of the table.  Each level takes
+    the frontier's candidates (its entries' neighbours) in parts of at
+    most ``_PART``, drops those already set, and keeps one of each
+    duplicate by stamping the table itself: after ``block[idx] =
+    arange(k)`` exactly one position of each repeated index reads back
+    its own stamp, whichever write numpy kept.  Those become the level's
+    new entries, so no stamp outlives its part.  New entries are merged
+    into pieces of at most ``_PART``, so a level costs a number of numpy
+    calls that follows its own size.
+
+    Scratch rule: a level's old and new entries are disjoint positions of
+    the block, so the frontier takes at most 4 bytes a block entry, and
+    one part's temporaries at most ``_PART_BYTES`` (128 bytes a
+    candidate; about 80 are used).  Blocks of
+    ``(BFS_SCRATCH_BYTES - _PART_BYTES) // (4 V)`` rows therefore keep
+    all the BFS allocates beside its int16 table within
+    ``BFS_SCRATCH_BYTES``, whatever the graph's shape: up to 1,773
+    vertices are one block.  Each level of a block costs a few dozen
+    numpy calls, so few, tall blocks keep long paths fast.  Raises
+    DisconnectedGraph after the first block, whose row 0 is the search
+    from vertex 0.
     """
     V = vertex_count
     deg = np.diff(indptr)
-    dist = np.full((V, V), UNREACHED, dtype=np.int32)
-    rows = max(1, min(V, BFS_BLOCK_ENTRIES // max(V, len(col))))
-    stamp = np.empty(rows * V, dtype=np.intp)
+    dist = np.full((V, V), UNREACHED, dtype=np.int16)
+    rows = max(1, min(V, (BFS_SCRATCH_BYTES - _PART_BYTES) // (4 * V)))
     for lo in range(0, V, rows):
         block = dist[lo : lo + rows].reshape(-1)
-        sources = np.arange(lo, lo + len(block) // V)
-        frontier = (sources - lo) * V + sources
-        block[frontier] = 0
+        sources = np.arange(len(block) // V, dtype=np.int32)
+        frontier = [sources * V + (sources + lo)]
+        block[frontier[0]] = 0
         level = 0
-        while frontier.size:
+        while frontier:
             level += 1
-            row_start, v = np.divmod(frontier, V)
-            row_start *= V
-            d = deg[v]
-            ends = np.cumsum(d)
-            shift = np.repeat(indptr[v] - ends + d, d)
-            idx = np.repeat(row_start, d) + col[np.arange(ends[-1]) + shift]
-            idx = idx[block[idx] == UNREACHED]
-            first = np.arange(len(idx))
-            stamp[idx] = first
-            frontier = idx[stamp[idx] == first]
-            block[frontier] = level
-        if lo == 0 and (block == UNREACHED).any():
+            found = []
+            for idx in _candidates(frontier, V, indptr, col, deg):
+                idx = idx.compress(block.take(idx) == UNREACHED)
+                stamp = np.arange(idx.size, dtype=np.int16)
+                block[idx] = stamp
+                idx = idx.compress(block.take(idx) == stamp)
+                block[idx] = level
+                if found and 0 < idx.size <= _PART - found[-1].size:
+                    found[-1] = np.concatenate((found[-1], idx.astype(np.int32)))
+                elif idx.size:
+                    found.append(idx.astype(np.int32))
+            frontier = found
+        if lo == 0 and (dist[0] == UNREACHED).any():
             raise DisconnectedGraph(f"graph on {V} vertices is not connected")
     return dist
 
 
 def _check_size(vertex_count: int) -> None:
-    """Raise GraphTooLarge when the V x V int32 distance table exceeds the dense cap."""
+    """Raise GraphTooLarge over 11,585 vertices.
+
+    The check counts 4 bytes a pair against ``chain.DENSE_BYTE_CAP``, the
+    int32 table this once was, so refusals and their messages are those
+    of that table; the int16 table takes half.  The cap also keeps every
+    distance, at most V - 1, within int16.
+    """
     chain_mod.check_dense_size(vertex_count, vertex_count, "distance table", itemsize=4)
 
 

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -129,7 +130,7 @@ def reference_distances(g):
 
 
 def assert_distance_table(g, want):
-    assert g.distance.dtype == np.int32
+    assert g.distance.dtype == np.int16
     assert not g.distance.flags.writeable
     assert np.array_equal(g.distance, want)
 
@@ -153,11 +154,14 @@ def test_distances_match_reference_on_random_graphs():
         return n, list(edges.values())
 
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
-    @given(graph=connected_graphs(), block_entries=st.sampled_from([1, 7, 40, 2**20]))
-    def check(graph, block_entries):
-        # small budgets split the sources into blocks of one or a few rows
+    @given(graph=connected_graphs(), block_entries=st.sampled_from([1, 7, 40, 2**20]),
+           part=st.sampled_from([29, graphs._PART]))
+    def check(graph, block_entries, part):
+        # small budgets split the sources into blocks of one or a few rows, and
+        # parts of 29 candidates (no vertex has more neighbours) split the levels
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graphs, "BFS_BLOCK_ENTRIES", block_entries)
+            mp.setattr(graphs, "BFS_SCRATCH_BYTES", graphs._PART_BYTES + 4 * block_entries)
+            mp.setattr(graphs, "_PART", part)
             g = graphs.build_graph(*graph)
         assert_distance_table(g, reference_distances(g))
 
@@ -165,21 +169,55 @@ def test_distances_match_reference_on_random_graphs():
 
 
 @pytest.mark.parametrize(
-    "V,edges,want",
+    "V,edges,want,block_rows",
     [
-        (1_500, [(i, i + 1) for i in range(1_499)],
-         lambda v: np.abs(v[:, None] - v[None, :])),
-        (1_501, [(0, i) for i in range(1, 1_501)],
-         lambda v: (v[:, None] != v[None, :]) * (2 - (v[:, None] == 0) - (v[None, :] == 0))),
+        (2_000, [(i, i + 1) for i in range(1_999)],
+         lambda v: np.abs(v[:, None] - v[None, :]), None),
+        (2_001, [(0, i) for i in range(1, 2_001)],
+         lambda v: (v[:, None] != v[None, :]) * (2 - (v[:, None] == 0) - (v[None, :] == 0)),
+         None),
         (120, [(i, j) for i in range(120) for j in range(i + 1, 120)],
-         lambda v: (v[:, None] != v[None, :]).astype(int)),
+         lambda v: (v[:, None] != v[None, :]).astype(int), 50),
     ],
-    ids=["path1500", "star1500", "complete120"],
+    ids=["path2000", "star2000", "complete120"],
 )
-def test_distances_across_source_blocks(V, edges, want):
-    # each graph needs more than one source block at the default budget
-    assert graphs.BFS_BLOCK_ENTRIES // max(V, 2 * len(edges)) < V
+def test_distances_across_source_blocks(monkeypatch, V, edges, want, block_rows):
+    # each graph needs more than one source block: the path and the star at
+    # the default budget, and the complete graph, whose levels fill many
+    # parts, at a budget of 50 rows
+    if block_rows is not None:
+        monkeypatch.setattr(graphs, "BFS_SCRATCH_BYTES", graphs._PART_BYTES + 4 * V * block_rows)
+    assert (graphs.BFS_SCRATCH_BYTES - graphs._PART_BYTES) // (4 * V) < V
     assert_distance_table(graphs.build_graph(V, edges), want(np.arange(V)))
+
+
+def _bfs_peak(build):
+    """(tracemalloc peak while ``build()`` runs, its graph)."""
+    tracemalloc.start()
+    try:
+        g = build()
+        return tracemalloc.get_traced_memory()[1], g
+    finally:
+        tracemalloc.stop()
+
+
+def test_tree_arena_bfs_stays_near_its_table():
+    # the simulator's tree arena: what its BFS allocates beside the 4.7 MB
+    # int16 table of 1,534 vertices stays under twice the table
+    peak, g = _bfs_peak(lambda: graphs.truncated_tree(3, 9))
+    assert g.distance.nbytes == 2 * 1_534**2
+    assert peak < 3 * g.distance.nbytes
+
+
+@pytest.mark.parametrize("block_rows", [None, 100])
+def test_bfs_scratch_within_its_bound(monkeypatch, block_rows):
+    # from a leaf every other leaf is one level, so a star's frontier
+    # fills its blocks: the worst case of the scratch rule
+    V = 1_501
+    if block_rows is not None:
+        monkeypatch.setattr(graphs, "BFS_SCRATCH_BYTES", graphs._PART_BYTES + 4 * V * block_rows)
+    peak, g = _bfs_peak(lambda: graphs.build_graph(V, [(0, i) for i in range(1, V)]))
+    assert peak - g.distance.nbytes <= graphs.BFS_SCRATCH_BYTES
 
 
 def test_build_graph_loads_no_scipy():
@@ -202,7 +240,7 @@ def test_disconnected_vertex_in_any_block(monkeypatch, block_entries, isolated):
     # one vertex cut off from a 10-cycle's path: with one-row blocks the
     # search from vertex 0 alone, in the first block, must find it missing
     rest = [v for v in range(10) if v != isolated]
-    monkeypatch.setattr(graphs, "BFS_BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(graphs, "BFS_SCRATCH_BYTES", graphs._PART_BYTES + 4 * block_entries)
     with pytest.raises(DisconnectedGraph, match="graph on 10 vertices is not connected"):
         graphs.build_graph(10, list(zip(rest, rest[1:])))
 
@@ -266,7 +304,8 @@ def test_distance_table_immutable():
 
 
 def test_distance_table_cap_in_vertices():
-    # the V x V int32 distance table fits DENSE_BYTE_CAP up to 11,585 vertices
+    # the refusal counts 4 bytes a pair, though the table is int16: up to
+    # 11,585 vertices pass under DENSE_BYTE_CAP
     assert 4 * 11_585**2 <= chain.DENSE_BYTE_CAP < 4 * 11_586**2
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -292,6 +293,28 @@ class TestTipsyEquivalence:
             joint.build_joint_chain(g, families.SpinnerFour(0, 0, 0, 1.0), rules), lumping
         )
         assert np.abs(cop_only.P - robber_only.P).max() < 1e-12
+
+
+def test_mover_reads_the_int16_table_as_an_int64_copy():
+    # the move rule negates and compares distances, with a Python-int kind
+    # (the joint chain) or an array (the simulator); pairs 1,000 or more
+    # apart must move as they would on a wide table, under either numpy
+    # casting rule
+    g = graphs.build_graph(1_400, [(i, i + 1) for i in range(1_399)])
+    wide = dataclasses.replace(g, distance=g.distance.astype(np.int64))
+    assert g.distance.dtype == np.int16
+    rules = joint.standard_rules()
+    narrow_moves, wide_moves = joint._mover(g, rules), joint._mover(wide, rules)
+    mover = np.array([0, 1, 5, 1_399, 1_398, 1_200, 399])
+    other = np.array([1_000, 1_399, 1_200, 0, 200, 1, 1_399])
+    assert (np.abs(mover - other) >= 1_000).all()
+    kinds = [0, 1, 2, np.array([0, 1, 2, 1, 0, 1, 2])]
+    for kind in kinds:
+        for a, b in zip(narrow_moves(kind, mover, other), wide_moves(kind, mover, other)):
+            assert np.array_equal(a, b)
+    ns, kept = narrow_moves(1, mover, other)
+    # a sober robber steps away, or stays at an end where his one step closes in
+    assert (ns[kept] == [0, 0, 4, 1_399, 1_399, 1_201, 398]).all()
 
 
 def test_survival_monotone_from_joint_states(rng):
