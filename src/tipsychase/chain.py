@@ -25,6 +25,13 @@ E is infinite when some transient state cannot reach an exit, or when
 no solve bounds its error below one (``_error_bound``; E of order 1e15
 and up).  The dense fallback and the dense joint-chain builder refuse,
 before allocating, any dense matrix above DENSE_BYTE_CAP.
+
+A dense solve runs on numpy's own LAPACK, so dense work never loads
+scipy; scipy serves the sparse chains alone.  The price is memory:
+``np.linalg.solve`` factors a copy of I - T of its own, so a dense
+solve holds T, I - T and that copy, three k x k matrices where a
+factorisation in place would hold two, and the sparse fallback holds
+two dense matrices, not one.
 """
 
 from __future__ import annotations
@@ -59,8 +66,11 @@ _UNIT_ROUNDOFF = 2.0**-53  # of float64
 KRYLOV_MAXITER = 1000
 # Largest dense matrix any chain operation allocates: 512 MiB holds the
 # 9x9 torus's 6,561-state P (344 MB), not a 40,000-state one (12.8 GB).
-# The cap is per matrix; the dense joint builder and the dense fallback
-# solve each hold one matrix of that size at a time.
+# The cap is per matrix, and a solve holds more than one: T, I - T and the
+# copy of I - T that numpy's LAPACK factors, or two dense matrices in the
+# sparse fallback.  A 3,000-state family chain's solve peaks at 246 MiB
+# and a 6,000-state one at 874 MiB; factoring I - T in place, as scipy's
+# LAPACK can, peaks at 214 and 644 MiB (2-vCPU machine, numpy 2.4).
 DENSE_BYTE_CAP = 512 * 2**20
 
 INFINITE = math.inf
@@ -70,10 +80,11 @@ def _is_sparse(a) -> bool:
     """scipy.sparse.issparse(a), without importing scipy.sparse for dense callers.
 
     Nothing can be a sparse array before scipy.sparse is imported.  The
-    package imports no scipy module when it is loaded, only where one is
-    first used: scipy.linalg and scipy.sparse together more than double
-    the time of a fresh ``import tipsychase.cli`` (about 0.2 s without
-    them and 0.45-0.5 s with them, on a 2-vCPU machine).
+    package imports scipy only where a sparse chain is built or solved
+    (joint chains, graph files, ``verify``, BiCGSTAB), never when it is
+    loaded: scipy more than doubles the time of a fresh ``import
+    tipsychase.cli`` (about 0.2 s without it and 0.45-0.5 s with it, on
+    a 2-vCPU machine) and adds about 28 MiB to a process's peak memory.
     """
     sparse = sys.modules.get("scipy.sparse")
     return sparse is not None and sparse.issparse(a)
@@ -278,8 +289,11 @@ def extract_transient(chain: MarkovChain) -> TransientSystem:
     absorbed = [i for i in range(chain.n_states) if i in chain.absorbing]
     if not transient:
         raise NoTransientStates("chain has no transient states")
-    T = chain.P[np.ix_(transient, transient)]
-    R = chain.P[np.ix_(transient, absorbed)]
+    # one broadcast row index per block: C-ordered, dense or CSR alike, and
+    # no n-column intermediate (P[rows][:, cols] would come back F-ordered)
+    rows = np.array(transient)[:, None]
+    T = chain.P[rows, transient]
+    R = chain.P[rows, absorbed]
     return TransientSystem(
         labels=tuple(chain.state_labels[i] for i in transient),
         T=T,
@@ -318,7 +332,7 @@ def _fundamental_solve(ts: TransientSystem):
     if not ts.drains:
         return None
     if not _is_sparse(ts.T):
-        return _lu_solve(ts, np.array(ts.T, order="F"))
+        return _lu_solve(ts, np.array(ts.T))
     return _krylov(ts) or _dense_lu_solve(ts)
 
 
@@ -391,20 +405,18 @@ def _error_bound(ts: TransientSystem, X: np.ndarray, B: np.ndarray) -> float:
 def _lu_solve(ts: TransientSystem, A: np.ndarray):
     """LU-solve (I - T) X = [1 | R]; None unless ``_error_bound`` is below one.
 
-    A is a Fortran-ordered copy of T that the call owns: it becomes I - T
-    and is factored in place, so one n x n matrix is live.
+    A is a copy of T that the call owns and turns into I - T in place.
+    ``np.linalg.solve`` factors a copy of its own, so two n x n matrices
+    besides T are live while it runs.
     """
-    # deferred (see _is_sparse); raw LAPACK skips ~28 us of scipy.linalg wrapper a solve
-    from scipy.linalg.lapack import dgetrf, dgetrs
-
     n = A.shape[0]
     np.subtract(0.0, A, out=A)  # 0 - t, so that I - T keeps +0.0 off the diagonal
     A[np.diag_indices(n)] += 1.0
-    lu, piv, info = dgetrf(A, overwrite_a=True)
-    if info > 0:  # an exactly zero pivot; info < 0 only flags a malformed argument
-        return None
     B = np.column_stack([np.ones(n), ts.R.toarray() if _is_sparse(ts.R) else ts.R])
-    sol, _ = dgetrs(lu, piv, B)
+    try:
+        sol = np.linalg.solve(A, B)
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        return None
     bound = _error_bound(ts, sol, B)
     if not bound < 1.0:
         return None
@@ -415,7 +427,7 @@ def _lu_solve(ts: TransientSystem, A: np.ndarray):
 def _dense_lu_solve(ts: TransientSystem):
     """``_lu_solve`` on a sparse system's dense copy, within DENSE_BYTE_CAP."""
     check_dense_size(ts.n_transient, ts.n_transient, "fallback solve of I - T")
-    return _lu_solve(ts, ts.T.toarray(order="F"))
+    return _lu_solve(ts, ts.T.toarray())
 
 
 def _krylov(ts: TransientSystem):

@@ -497,6 +497,29 @@ class TestDivergenceRule:
                               text=True, check=True, timeout=120)
         assert done.stdout == "False []\n"
 
+    def test_dense_solves_load_no_scipy(self):
+        # scipy serves sparse chains only: a dense solve, a static and a
+        # time-varying table all stay on numpy's own LAPACK
+        src = str(Path(chain.__file__).resolve().parents[1])
+        probe = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "from tipsychase import chain, families, tables; "
+            "s = families.SpinnerThree(c=0.3, r=0.4, t=0.3); "
+            "ts = chain.extract_transient(families.tree_chain(4, 5, s)); "
+            "chain.expected_rounds(ts, '2'); chain.absorption_split(ts, '2'); "
+            "tables.reproduce('cycle5.2'); tables.reproduce('time9.1'); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        done = subprocess.run([sys.executable, "-c", probe, src], capture_output=True,
+                              text=True, check=True, timeout=120)
+        assert done.stdout == "[]\n"
+
+    def test_exact_zero_pivot_solves_nothing(self):
+        # I - T = [[0]]: LAPACK meets a zero pivot; _drains would refuse this
+        # system before any solve, so _lu_solve is called directly
+        ts = chain.TransientSystem(("a",), [[1.0]], [[0.0]], ("0",))
+        assert chain._lu_solve(ts, np.array(ts.T)) is None
+
     def test_fleeing_robber_gets_the_structural_note(self):
         ts = chain.extract_transient(
             families.cycle_chain(6, families.SpinnerThree(c=0.0, r=1.0, t=0.0))
