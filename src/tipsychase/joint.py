@@ -118,7 +118,7 @@ def check_move_tables(vertex_count: int, max_degree: int) -> None:
     1,534-vertex ball tree of degree 3 (7.06 M of the cap).  That is more
     than the (2V^2 + V) x (2 x max degree + 1) bytes of the whole-arena
     table the simulator used before (33 MB on that tree), but a run
-    allocates only what its trials reach: 6,948 pairs in about 0.52 MB
+    allocates only what its trials reach: 9,123 pairs in about 1.0 MB
     for 100,000 trials on that tree escaping at distance 5.  ``_mover``
     checks the cap first, so the joint chain, which reads the rule
     directly, is refused at the same sizes.  Arithmetic on the arena's

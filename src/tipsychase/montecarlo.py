@@ -9,26 +9,27 @@ Trial ``k`` draws from its own counter-based stream::
 and consumes exactly two doubles per round: one to pick the spinner
 outcome (cumulative thresholds c, c+r, c+r+t_c, 1) and one to pick the
 moving player's target.  Reports therefore depend only on (seed, trial
-index, round number) and are bitwise identical however trials are
-batched and however long the draw blocks are.
+index, round number) and are bitwise identical however many trials are
+in play at once and however long the draw blocks are.
 
-Trials are simulated in lock-step batches with numpy for speed; the
-per-trial streams make that purely an implementation detail.  Draws
-are refilled in blocks of 64 rounds: once per block, each live trial
-repositions one shared Philox instance by writing its counter into a
-state template of Python ints, then draws only the doubles the block
-can play.
+Up to _LANES trials step in lock-step with numpy, one to a lane; the
+per-trial streams make that purely an implementation detail.  Draws are
+refilled in blocks of 64 rounds into one lanes x 128 buffer: at each
+block boundary a lane whose trial has ended takes the next trial, and
+each live lane repositions one shared Philox instance to its trial and
+round by writing the counter into a state template of Python ints, then
+draws only the doubles the block can play.
 
 A trial carries one number, the slot of its (cop, robber) pair in the
 move table ``_move_tables`` makes.  Slots are numbered as trials reach
 pairs, the start pair first, so the table holds only the pairs a run
-reaches (6,948 of the 2.35 M on the 1,534-vertex tree arena, in about
-0.52 MB).  A round's outcome is the count of thresholds at or below its
+reaches (9,123 of the 2.35 M on the 1,534-vertex tree arena, in about
+1.0 MB).  A round's outcome is the count of thresholds at or below its
 first double, and flat takes at row ``4 * slot + outcome`` give the
-row's target count n, the pick ``min(int(u * n), n - 1)`` and the
-target: the slot of the pair the move leads to.  A per-slot byte marks
-the pairs that end the game, capture and escape.  A round that reads a
-count of 0 first fills the rows its trials miss from ``joint._mover``.
+row's target count n, the pick ``int(u * n)`` and the target: the slot
+of the pair the move leads to.  A per-slot byte marks the pairs that
+end the game, capture and escape.  A round that reads a count of 0
+first fills all four rows of each slot it misses from ``joint._mover``.
 """
 
 from __future__ import annotations
@@ -99,6 +100,7 @@ class SimReport:
 
 
 _BLOCK_ROUNDS = 64  # even: a counter tick holds two rounds' draws
+_LANES = 4096  # trials in play at once: the draw buffer holds _LANES x 2 * _BLOCK_ROUNDS
 
 
 def _stream(key: int):
@@ -115,28 +117,28 @@ def _stream(key: int):
     return bit_gen, np.random.Generator(bit_gen), state
 
 
-def _refill(bit_gen, gen, state, draws, rows, first_trial, first_round, block):
-    """Fill each row's doubles for rounds first_round .. first_round + block - 1.
+def _refill(bit_gen, gen, state, draws, rows, trial, first_round, max_rounds):
+    """Fill row rows[i] with trial[i]'s doubles from round first_round[i] (a multiple of
+    _BLOCK_ROUNDS, so even) to the block's end or ``max_rounds``.
 
-    One Philox instance is repositioned per trial instead of constructing
-    a fresh one: trial k's stream starts at counter k * 2**64, and each
+    One Philox instance is repositioned per row instead of constructing a
+    fresh one: trial k's stream starts at counter k * 2**64, and each
     counter tick gives 4 doubles, two rounds, so round m's draws start at
-    tick m // 2 (``first_round`` is a multiple of _BLOCK_ROUNDS, so even).
-    Only the block's 2 * block doubles are drawn, into the row in place.
+    tick m // 2.  Only the doubles the row can play are drawn, in place.
     """
     counter = state["state"]["counter"]
-    counter[0] = first_round // 2
-    for row in rows.tolist():
-        counter[1] = first_trial + row
+    width = 2 * np.minimum(max_rounds - first_round, _BLOCK_ROUNDS)
+    for row, counter[1], counter[0], w in zip(
+            rows.tolist(), trial.tolist(), (first_round // 2).tolist(), width.tolist()):
         bit_gen.state = state
-        gen.random(out=draws[row, : 2 * block])
+        gen.random(out=draws[row, :w])
 
 
-def _outcomes(u, thresholds):
-    """How many of the three ``thresholds`` are at or below each draw: for u < 1,
-    ``np.searchsorted((*thresholds, 1.0), u, side="right")``, at a fraction of its cost."""
+def _rows(slot, u, thresholds):
+    """4 * slot plus how many of the three ``thresholds`` are at or below each draw: for
+    u < 1, ``4 * slot + np.searchsorted((*thresholds, 1.0), u, side="right")``, cheaper."""
     t0, t1, t2 = thresholds
-    return (u >= t0).astype(np.int64) + (u >= t1) + (u >= t2)
+    return slot * 4 + (u >= t0) + (u >= t1) + (u >= t2)
 
 
 _START_SLOTS = 1024  # the move table's first capacity in pairs; it doubles when full
@@ -152,8 +154,8 @@ class _Table:
     order: sober cop, sober robber, tipsy cop, tipsy robber; an odd one
     moves the robber) lists the slots of the pairs the move leads to, in
     ascending order of the mover's new vertex, each taken with
-    probability 1 / counts[row], and zeros after them.  A filled row
-    counts at least 1, so a count of 0 marks a row no trial has read yet.
+    probability 1 / counts[row], and zeros after them.  Filled rows count
+    at least 1, so a count of 0 marks a slot (all four rows) not yet filled.
     The arrays are allocated for a capacity of slots that doubles when
     full, up to V^2; ``sorted_keys`` and ``sorted_slots`` map keys to
     slots.  ``joint.check_move_tables`` states the memory this can take.
@@ -192,9 +194,13 @@ class _Table:
         if self.escape is not None:
             end[self.dist[cop, robber] >= self.escape] = 2
         self.end[lo:hi] = end
-        at = np.searchsorted(self.sorted_keys, fresh)
-        self.sorted_keys = np.insert(self.sorted_keys, at, fresh)
-        self.sorted_slots = np.insert(self.sorted_slots, at, np.arange(lo, hi, dtype=np.int32))
+        at = np.searchsorted(self.sorted_keys, fresh) + np.arange(fresh.size)  # merged order
+        old = np.ones(hi, dtype=bool)
+        old[at] = False
+        keys, slots = np.empty((2, hi), dtype=np.int32)
+        keys[at], keys[old] = fresh, self.sorted_keys
+        slots[at], slots[old] = np.arange(lo, hi), self.sorted_slots
+        self.sorted_keys, self.sorted_slots = keys, slots
         self.size = hi
 
     def _grow(self, need: int):
@@ -210,9 +216,9 @@ class _Table:
             grown, (self.targets, self.counts, self.end, self.keys))
 
     def fill(self, rows):
-        """Fill table rows ``rows`` (repeats allowed) from the move rule."""
+        """Fill the four rows of each slot that rows ``rows`` (repeats allowed) lie in."""
         V = self.V
-        rows = np.unique(rows)
+        rows = (4 * np.unique(rows // 4)[:, None] + np.arange(4)).ravel()
         slot, outcome = np.divmod(rows, 4)
         cop, robber = np.divmod(self.keys.take(slot).astype(np.int64), V)
         rob_turn = (outcome & 1).astype(bool)
@@ -235,54 +241,65 @@ def _move_tables(cfg: SimConfig) -> _Table:
 
 
 def _run_batch(cfg: SimConfig, tables: _Table, lo: int, hi: int, rounds_out, outcome_out):
-    """Simulate trials lo..hi-1 in lock-step; write per-trial results."""
+    """Simulate trials lo..hi-1 in up to _LANES lanes; write per-trial results.
+    A lane whose trial has ended takes the next trial at the next block boundary."""
     s = cfg.spinner
     thresholds = (s.c, s.c + s.r, s.c + s.r + s.t_c)
     targets, counts, end = tables.targets, tables.counts, tables.end
     width = targets.shape[1]
-
-    size = hi - lo
     bit_gen, gen, state = _stream(cfg.seed & 0xFFFFFFFFFFFFFFFF)
 
-    alive = np.arange(size)
-    slot = np.zeros(size, dtype=np.int32)  # the pair of each trial in alive; start: slot 0
-    draws = np.empty((size, 2 * _BLOCK_ROUNDS))
-    rounds_done = 0
+    live = np.arange(min(_LANES, hi - lo))  # the lanes with a trial in play
+    trial, played = lo + live, np.zeros_like(live)  # each lane's trial, its rounds so far,
+    slot = np.zeros(live.size, dtype=np.int32)  # its pair (start: slot 0)
+    last, code = np.zeros_like(live), np.zeros(live.size, dtype=np.int8)  # and its end (0: none)
+    draws = np.empty((live.size, 2 * _BLOCK_ROUNDS))
+    pairs = draws.view(np.complex128)  # a round's two doubles, gathered as one
+    # a trial in its last block is censored after round `due` of the block
+    due = cfg.max_rounds - (cfg.max_rounds - 1) // _BLOCK_ROUNDS * _BLOCK_ROUNDS
+    next_trial = lo + live.size
 
-    while alive.size and rounds_done < cfg.max_rounds:
-        block = min(_BLOCK_ROUNDS, cfg.max_rounds - rounds_done)
-        _refill(bit_gen, gen, state, draws, alive, lo, rounds_done, block)
-        for j in range(block):
-            row = slot * 4 + _outcomes(draws[alive, 2 * j], thresholds)
+    while live.size:
+        _refill(bit_gen, gen, state, draws, live, trial[live], played[live], cfg.max_rounds)
+        alive, s_alive = live, slot[live]
+        for j in range(_BLOCK_ROUNDS):
+            z = pairs[alive, j]
+            row = _rows(s_alive, z.real.copy(), thresholds)  # contiguous: faster compares
             n = counts.take(row)
             if np.count_nonzero(n) < n.size:  # unread rows: fill them, then read again
                 tables.fill(row[n == 0])
                 targets, counts, end = tables.targets, tables.counts, tables.end
                 n = counts.take(row)
-            pick = np.minimum((draws[alive, 2 * j + 1] * n).astype(np.int64), n - 1)
-            slot = targets.take(row * width + pick)  # flat: no axis
-            ends = end.take(slot)
-            if ends.any():
+            # z.imag < 1, so z.imag * n rounds to below n: no clamp to n - 1 is needed
+            s_alive = targets.take(row * width + (z.imag * n).astype(np.int32))
+            ends = end.take(s_alive)
+            if j + 1 == due:  # censor trials in their last block: code 3, max_rounds + 1
+                ends[(ends == 0) & (played[alive] + due == cfg.max_rounds)] = 3
+            if np.count_nonzero(ends):
                 done = ends != 0
-                ended = alive[done]
-                rounds_out[lo + ended] = rounds_done + j + 1
-                outcome_out[lo + ended] = ends[done] - 1  # 0 capture, 1 escape
-                alive, slot = alive[~done], slot[~done]
+                gone = alive[done]
+                last[gone], code[gone] = j + 1, ends[done]
+                alive, s_alive = alive[~done], s_alive[~done]
                 if not alive.size:
                     break
-        rounds_done += block
-
-    if alive.size:
-        rounds_out[lo + alive] = cfg.max_rounds + 1
-        outcome_out[lo + alive] = 2
+        ended = live[code[live] != 0]
+        rounds_out[trial[ended]] = played[ended] + last[ended] + (code[ended] == 3)
+        outcome_out[trial[ended]] = code[ended] - 1  # 0 capture, 1 escape, 2 censored
+        slot[alive] = s_alive
+        played[alive] += _BLOCK_ROUNDS
+        free = ended[: hi - next_trial]  # they take the next trials
+        trial[free] = np.arange(next_trial, next_trial + free.size)
+        played[free] = slot[free] = code[free] = 0
+        next_trial += free.size
+        live = np.flatnonzero(code == 0)
 
 
 def run(cfg: SimConfig) -> SimReport:
-    """Run all trials and reduce them (in trial order) into a SimReport.
+    """Run all trials, _LANES at a time, and reduce them (in trial order) into a SimReport.
 
     Refuses with GraphTooLarge, before tabulating moves, a trial count
-    or round cap whose result arrays (8 bytes an entry, one per trial or
-    per round) would exceed ``chain.DENSE_BYTE_CAP``.
+    or round cap whose result arrays (at most 8 bytes an entry, one per
+    trial or per round) would exceed ``chain.DENSE_BYTE_CAP``.
     """
     V = cfg.graph.vertex_count
     if not (0 <= cfg.cop_start < V and 0 <= cfg.robber_start < V):
@@ -298,12 +315,10 @@ def run(cfg: SimConfig) -> SimReport:
     check_dense_size(cfg.max_rounds + 2, 1, "survival curve")
 
     tables = _move_tables(cfg)
-    rounds = np.zeros(cfg.trials, dtype=np.int64)
+    rounds = np.zeros(cfg.trials, dtype=np.int32)
     outcome = np.zeros(cfg.trials, dtype=np.int8)
 
-    batch = 8192
-    for lo in range(0, cfg.trials, batch):
-        _run_batch(cfg, tables, lo, min(lo + batch, cfg.trials), rounds, outcome)
+    _run_batch(cfg, tables, 0, cfg.trials, rounds, outcome)
 
     # rounds > m  <=>  still unabsorbed after m rounds (censored trials
     # carry max_rounds + 1 and so count as surviving every m)

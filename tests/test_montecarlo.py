@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,22 +202,34 @@ class TestReproducibility:
                       *np.nextafter(on, 0.0), *np.nextafter(on, 1.0)])
         u = u[(u >= 0.0) & (u < 1.0)]
         expected = np.searchsorted(np.array([*thresholds, 1.0]), u, side="right")
-        got = montecarlo._outcomes(u, thresholds)
-        assert got.tolist() == expected.tolist()
-        assert got.dtype == np.int64  # the round adds it to 4 x an int32 slot
+        slot = np.arange(u.size, dtype=np.int32)
+        got = montecarlo._rows(slot, u, thresholds)
+        assert got.tolist() == (4 * slot + expected).tolist()
+        # int32 holds every row times the table width: check_move_tables keeps
+        # 4 x V^2 x max degree under 2**31
+        assert got.dtype == np.int32
+
+    def test_pick_stays_below_the_count(self):
+        # the round takes target int(u * n) with no clamp to n - 1: u < 1, and rounding
+        # is monotone, so the largest double below 1 bounds the pick at every uint8 count
+        n = np.arange(1, 256)
+        assert ((np.nextafter(1.0, 0.0) * n).astype(np.int32) == n - 1).all()
 
     @pytest.mark.parametrize("cfg", [
-        # games span blocks, some trials are censored and the last block is partial
+        # games span blocks, some trials are censored and the last block is partial;
+        # there are more trials than lanes, so lanes take later trials mid-run
         config(spinner=families.SpinnerFour(c=0.0, r=0.5, t_c=0.25, t_r=0.25),
-               robber_start=1, trials=1500, max_rounds=203, seed=3),
-        config(graph=graphs.truncated_tree(3, 6), robber_start=1, trials=1500,
+               robber_start=1, trials=4500, max_rounds=203, seed=3),
+        config(graph=graphs.truncated_tree(3, 6), robber_start=1, trials=4500,
                escape_distance=3, seed=5),
     ], ids=["cycle6-censored", "tree-escape"])
     def test_block_length_changes_nothing(self, cfg, monkeypatch):
         assert montecarlo._BLOCK_ROUNDS % 2 == 0  # _refill's tick arithmetic needs it
+        assert montecarlo._LANES < cfg.trials
         reports = []
-        for block in (2, 64, 128):
+        for block, lanes in itertools.product((2, 64, 128), (7, 100, montecarlo._LANES)):
             monkeypatch.setattr(montecarlo, "_BLOCK_ROUNDS", block)
+            monkeypatch.setattr(montecarlo, "_LANES", lanes)
             reports.append(montecarlo.run(cfg))
         first = reports[0]
         assert first.censored_fraction > 0.0 or first.escape_fraction > 0.0
@@ -225,17 +239,23 @@ class TestReproducibility:
             assert repr(rep) == repr(first)
 
     def test_refill_matches_documented_stream(self):
-        key, first_trial = 2024, 7
-        first_round = 2 * montecarlo._BLOCK_ROUNDS
+        key, block = 2024, montecarlo._BLOCK_ROUNDS
         bit_gen, gen, state = montecarlo._stream(key)
-        draws = np.full((8192, 2 * montecarlo._BLOCK_ROUNDS), np.nan)
-        rows = np.array([0, 5, 8191])
-        montecarlo._refill(bit_gen, gen, state, draws, rows, first_trial, first_round,
-                           montecarlo._BLOCK_ROUNDS)
-        for row in rows.tolist():  # Python ints: k << 64 must not wrap
-            ref = np.random.Generator(np.random.Philox(key=key, counter=(first_trial + row) << 64))
-            ref.random(2 * first_round)  # the rounds before the block
-            assert draws[row].tobytes() == ref.random(draws.shape[1]).tobytes()
+        draws = np.full((montecarlo._LANES, 2 * block), np.nan)
+        rows = np.array([0, 5, montecarlo._LANES - 1])
+        # each row's own trial and round: the first block, the third, and a last block
+        # of 5 rounds
+        trial = np.array([7, 2**40 + 3, 12])
+        first_round = np.array([0, 2 * block, 3 * block])
+        max_rounds = 3 * block + 5
+        montecarlo._refill(bit_gen, gen, state, draws, rows, trial, first_round, max_rounds)
+        # Python ints: k << 64 must not wrap
+        for row, k, m in zip(rows.tolist(), trial.tolist(), first_round.tolist()):
+            ref = np.random.Generator(np.random.Philox(key=key, counter=k << 64))
+            ref.random(2 * m)  # the rounds before the block
+            width = 2 * min(block, max_rounds - m)
+            assert draws[row, :width].tobytes() == ref.random(width).tobytes()
+            assert np.isnan(draws[row, width:]).all()
         assert np.isnan(np.delete(draws, rows, axis=0)).all()
 
 
@@ -473,6 +493,22 @@ def test_move_table_fills_only_the_rows_trials_read(monkeypatch):
         else:
             expected = list(g.neighbors[(c, r)[outcome - 2]])
         assert vertex[outcome, slot, : counts[outcome, slot]].tolist() == expected
+
+
+def test_simulator_memory_stays_under_8_mib():
+    # the benchmark's 6-cycle run: 200,000 trials of games that average 34 rounds.
+    # Only _LANES trials hold draws at once, so the peak is the draw buffer and the
+    # per-trial results, not a buffer per batch of trials
+    cfg = config(spinner=families.SpinnerFour(0.0, 0.5, 0.25, 0.25), robber_start=1,
+                 trials=200_000, max_rounds=40_000, seed=29)
+    montecarlo.run(config(trials=1))  # numpy.random loads on first use: not the run's peak
+    tracemalloc.start()
+    try:
+        montecarlo.run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_move_rule_matches_pairwise_reference():
